@@ -2,9 +2,7 @@
 //
 //   snapshot_tool info <file>                 header, chain position, META,
 //                                             per-section payload sizes
-//   snapshot_tool upgrade <in.v1> <out.v2>    rewrite a format-v1 frame as
-//                                             the equivalent v2 base frame
-//   snapshot_tool extract <n> <in> <out>      lift enclave <n> out of a v2
+//   snapshot_tool extract <n> <in> <out>      lift enclave <n> out of a
 //                                             multi-enclave frame as a
 //                                             standalone snapshot
 //   snapshot_tool migrate <in> <n> <out> [<lo> <pages> <accesses>]
@@ -39,10 +37,11 @@
 //
 // Every command works on files alone — no simulation run is needed, so a
 // snapshot from a dead service can be examined on any machine with this
-// build. Every failure (unreadable file, corrupt frame, wrong version, bad
-// argument) exits nonzero with a one-line `error:` diagnostic; no input
-// may abort or crash the process. See docs/ROBUSTNESS.md, "Snapshot format
-// v2" and "Live migration & torn-chain salvage".
+// build. The tool reads exactly the format version this build writes.
+// Every failure (unreadable file, corrupt frame, any other format version,
+// bad argument) exits nonzero with a one-line `error:` diagnostic; no input
+// may abort or crash the process. See docs/ROBUSTNESS.md, "Snapshot format"
+// and "Live migration & torn-chain salvage".
 #include <cstdio>
 #include <exception>
 #include <iostream>
@@ -52,7 +51,6 @@
 #include "common/check.h"
 #include "snapshot/chain.h"
 #include "snapshot/codec.h"
-#include "snapshot/migrate.h"
 #include "snapshot/snapshotter.h"
 
 using namespace sgxpl;
@@ -62,14 +60,15 @@ namespace {
 int usage() {
   std::cerr
       << "usage: snapshot_tool info <file>\n"
-         "       snapshot_tool upgrade <in.v1> <out.v2>\n"
          "       snapshot_tool extract <enclave> <in> <out>\n"
          "       snapshot_tool migrate <in> <enclave> <out> [<lo> <pages> "
          "<accesses>]\n"
          "       snapshot_tool diff <a> <b>\n"
          "       snapshot_tool verify-chain <base>\n"
          "       snapshot_tool salvage <base> <out-base>\n"
-         "       snapshot_tool fleet-info <dir>\n";
+         "       snapshot_tool fleet-info <dir>\n"
+         "every command reads snapshot format v"
+      << snapshot::kFormatVersion << " only\n";
   return 2;
 }
 
@@ -91,25 +90,17 @@ std::uint64_t parse_u64(const std::string& what, const std::string& text) {
 
 int cmd_info(const std::string& path) {
   const auto bytes = snapshot::read_file(path);
-  const std::uint32_t version = snapshot::frame_version(bytes);
-  std::cout << path << ": format v" << version << ", " << bytes.size()
-            << " bytes\n";
-  snapshot::validate_frame(bytes);
-  if (version >= 2) {
-    const snapshot::ChainHeader chain =
-        snapshot::read_chain_header_bytes(bytes);
-    std::cout << "chain: " << snapshot::to_string(chain.kind) << " frame, id "
-              << chain.chain_id << ", seq " << chain.seq;
-    if (chain.kind == snapshot::FrameKind::kDelta) {
-      std::cout << ", prev-crc " << chain.prev_crc;
-    }
-    std::cout << "\n";
+  const snapshot::RunFrame f(bytes);
+  std::cout << path << ": format v" << f.body.version() << ", "
+            << bytes.size() << " bytes\n";
+  const snapshot::ChainHeader& chain = f.chain;
+  std::cout << "chain: " << snapshot::to_string(chain.kind) << " frame, id "
+            << chain.chain_id << ", seq " << chain.seq;
+  if (chain.kind == snapshot::FrameKind::kDelta) {
+    std::cout << ", prev-crc " << chain.prev_crc;
   }
-  snapshot::Reader r(bytes);
-  if (version >= 2) {
-    (void)snapshot::read_chain_header(r);
-  }
-  const snapshot::RunMeta meta = snapshot::read_meta(r);
+  std::cout << "\n";
+  const snapshot::RunMeta& meta = f.meta;
   std::cout << "meta: " << meta.kind << " / " << meta.scheme << " on "
             << meta.trace_name << " (" << meta.trace_accesses
             << " accesses, ELRANGE " << meta.elrange_pages << " pages, EPC "
@@ -128,28 +119,10 @@ int cmd_info(const std::string& path) {
   return 0;
 }
 
-int cmd_upgrade(const std::string& in, const std::string& out) {
-  const auto bytes = snapshot::read_file(in);
-  const std::uint32_t version = snapshot::frame_version(bytes);
-  if (version >= 2) {
-    std::cerr << "error: " << in << ": already format v" << version
-              << "; nothing to do\n";
-    return 1;
-  }
-  const auto upgraded = snapshot::upgrade_v1_to_v2(bytes);
-  snapshot::write_file_atomic(out, upgraded);
-  std::cout << "wrote " << out << " (v1 " << bytes.size() << " bytes -> v2 "
-            << upgraded.size() << " bytes)\n";
-  return 0;
-}
-
 int cmd_extract(const std::string& index, const std::string& in,
                 const std::string& out) {
   const std::uint64_t enclave = parse_u64("enclave index", index);
-  auto bytes = snapshot::read_file(in);
-  if (snapshot::frame_version(bytes) < 2) {
-    bytes = snapshot::upgrade_v1_to_v2(bytes);
-  }
+  const auto bytes = snapshot::read_file(in);
   const auto frame = snapshot::extract_enclave(bytes, enclave);
   snapshot::write_file_atomic(out, frame);
   const snapshot::ExtractedEnclave e = snapshot::read_extracted(frame);
@@ -164,7 +137,6 @@ int cmd_migrate(const std::vector<std::string>& args) {
   const std::uint64_t enclave = parse_u64("enclave index", args[2]);
   const std::string& out = args[3];
   const auto bytes = snapshot::read_file(in);
-  snapshot::validate_frame(bytes);
   snapshot::TenantGeometry geo;
   if (args.size() == 7) {
     geo.lo = parse_u64("tenant lo page", args[4]);
@@ -173,12 +145,7 @@ int cmd_migrate(const std::vector<std::string>& args) {
   } else {
     // Sole occupant: the tenant owns the whole combined space described by
     // the frame's META (the identity carve — byte-exact).
-    snapshot::Reader r(bytes);
-    SGXPL_CHECK_MSG(r.version() >= 2,
-                    "format v1 frames have no per-enclave sections; upgrade "
-                    "the file first (snapshot_tool upgrade)");
-    (void)snapshot::read_chain_header(r);
-    const snapshot::RunMeta meta = snapshot::read_meta(r);
+    const snapshot::RunMeta meta = snapshot::RunFrame(bytes).meta;
     geo.lo = 0;
     geo.pages = meta.elrange_pages;
     geo.trace_accesses = meta.trace_accesses;
@@ -202,37 +169,32 @@ int cmd_diff(const std::string& a, const std::string& b) {
   return 1;
 }
 
-/// Read the chain rooted at `base`: the base plus every consecutive
-/// `.delta-N` file beside it. Unreadable files stop the scan; corrupt
-/// *content* does not (the walk classifies it).
-std::vector<std::vector<std::uint8_t>> read_chain_files(
-    const std::string& base, std::vector<std::string>* paths) {
-  std::vector<std::vector<std::uint8_t>> frames;
-  frames.push_back(snapshot::read_file(base));
-  paths->push_back(base);
-  for (std::uint64_t seq = 1;; ++seq) {
-    const std::string path = snapshot::delta_path(base, seq);
-    if (!snapshot::file_readable(path)) {
-      break;
-    }
-    frames.push_back(snapshot::read_file(path));
-    paths->push_back(path);
+/// Read the chain rooted at `base` (snapshot::read_chain_files); a missing
+/// base file is a typed error.
+std::vector<std::vector<std::uint8_t>> read_chain(const std::string& base) {
+  auto frames = snapshot::read_chain_files(base);
+  if (frames.empty()) {
+    throw CheckFailure("snapshot: cannot open '" + base + "' for reading");
   }
   return frames;
 }
 
+/// On-disk name of frame `i` of the chain rooted at `base`.
+std::string frame_path(const std::string& base, std::uint64_t i) {
+  return i == 0 ? base : snapshot::delta_path(base, i);
+}
+
 int cmd_verify_chain(const std::string& base) {
-  std::vector<std::string> paths;
-  const auto frames = read_chain_files(base, &paths);
+  const auto frames = read_chain(base);
   const snapshot::ChainSalvageReport rep = snapshot::probe_chain(frames);
   for (std::uint64_t i = 0; i < rep.frames_restored; ++i) {
     const snapshot::ChainHeader h =
         snapshot::read_chain_header_bytes(frames[i]);
     if (i == 0) {
-      std::cout << paths[i] << ": full base, chain id " << h.chain_id << ", "
+      std::cout << base << ": full base, chain id " << h.chain_id << ", "
                 << frames[i].size() << " bytes\n";
     } else {
-      std::cout << paths[i] << ": delta " << h.seq << ", "
+      std::cout << frame_path(base, i) << ": delta " << h.seq << ", "
                 << frames[i].size() << " bytes, linkage OK\n";
     }
   }
@@ -240,13 +202,14 @@ int cmd_verify_chain(const std::string& base) {
     // A stale delta of an older chain is a benign leftover, not corruption
     // (the resume scan ignores it); everything else fails the chain.
     if (rep.fault == snapshot::ChainFault::kChainIdMismatch) {
-      std::cout << paths[rep.first_bad_index]
+      std::cout << frame_path(base, rep.first_bad_index)
                 << ": different chain — stale leftover, chain ends at seq "
                 << (rep.first_bad_index - 1) << "\n";
       std::cout << "chain OK: " << rep.frames_restored << " frame(s)\n";
       return 0;
     }
-    std::cerr << "error: " << paths[rep.first_bad_index] << ": frame "
+    std::cerr << "error: " << frame_path(base, rep.first_bad_index)
+              << ": frame "
               << rep.first_bad_index << " (seq " << rep.first_bad_seq
               << "), byte offset " << rep.byte_offset << ": "
               << snapshot::to_string(rep.fault) << " — " << rep.detail
@@ -258,8 +221,7 @@ int cmd_verify_chain(const std::string& base) {
 }
 
 int cmd_salvage(const std::string& base, const std::string& out_base) {
-  std::vector<std::string> paths;
-  const auto frames = read_chain_files(base, &paths);
+  const auto frames = read_chain(base);
   const snapshot::ChainSalvageReport rep = snapshot::probe_chain(frames);
   std::cout << rep.describe() << "\n";
   if (!rep.restored_any()) {
@@ -267,8 +229,7 @@ int cmd_salvage(const std::string& base, const std::string& out_base) {
     return 1;
   }
   for (std::uint64_t i = 0; i < rep.frames_restored; ++i) {
-    const std::string out =
-        i == 0 ? out_base : snapshot::delta_path(out_base, i);
+    const std::string out = frame_path(out_base, i);
     snapshot::write_file_atomic(out, frames[i]);
     std::cout << "wrote " << out << " (" << frames[i].size() << " bytes)\n";
   }
@@ -290,8 +251,7 @@ int cmd_fleet_info(const std::string& dir) {
       break;
     }
     ++hosts;
-    std::vector<std::string> paths;
-    const auto frames = read_chain_files(base, &paths);
+    const auto frames = read_chain(base);
     const snapshot::ChainSalvageReport rep = snapshot::probe_chain(frames);
     std::uint64_t bytes = 0;
     for (const auto& f : frames) {
@@ -303,9 +263,7 @@ int cmd_fleet_info(const std::string& dir) {
     if (rep.restored_any()) {
       // The restore point an operator would get back: the META of the
       // base names the run; the chain length bounds the replay window.
-      snapshot::Reader r(frames[0]);
-      (void)snapshot::read_chain_header(r);
-      const snapshot::RunMeta meta = snapshot::read_meta(r);
+      const snapshot::RunMeta meta = snapshot::RunFrame(frames[0]).meta;
       std::cout << " — " << meta.kind << " / " << meta.scheme << " on "
                 << meta.trace_name << ", base cursor " << meta.cursor;
     }
@@ -314,7 +272,8 @@ int cmd_fleet_info(const std::string& dir) {
       ++healthy;
     } else if (rep.restored_any()) {
       ++torn;
-      std::cout << "  torn: dropped at " << paths[rep.first_bad_index]
+      std::cout << "  torn: dropped at "
+                << frame_path(base, rep.first_bad_index)
                 << " (seq " << rep.first_bad_seq << "): "
                 << snapshot::to_string(rep.fault)
                 << " — recoverable to the salvaged prefix\n";
@@ -348,9 +307,6 @@ int main(int argc, char** argv) {
   try {
     if (args.size() == 2 && args[0] == "info") {
       return cmd_info(args[1]);
-    }
-    if (args.size() == 3 && args[0] == "upgrade") {
-      return cmd_upgrade(args[1], args[2]);
     }
     if (args.size() == 4 && args[0] == "extract") {
       return cmd_extract(args[1], args[2], args[3]);

@@ -13,7 +13,6 @@
 #include "sgxsim/driver.h"
 #include "snapshot/chain.h"
 #include "snapshot/codec.h"
-#include "snapshot/migrate.h"
 
 namespace sgxpl::core {
 
@@ -214,9 +213,7 @@ struct MultiEnclaveRun::Impl {
 
   /// Per-tenant snapshot groups: ENCM identity, APPS clock/metrics, DFPE
   /// engine when the tenant's scheme runs one. Written identically by full
-  /// and delta frames (tenant state is small and moves every step), and
-  /// reproduced field-for-field by the v1 upgrader so upgraded goldens stay
-  /// byte-identical to fresh v2 writes.
+  /// and delta frames (tenant state is small and moves every step).
   void save_tenants(snapshot::Writer& w) const {
     for (std::size_t i = 0; i < apps.size(); ++i) {
       const bool has_dfp = policy->engine(i) != nullptr;
@@ -281,6 +278,23 @@ struct MultiEnclaveRun::Impl {
         policy->mutable_engine(i)->load(r);
         r.leave_section();
       }
+    }
+  }
+
+  /// The frame's last section: the injector's bookkeeping, when chaos is on.
+  void save_injector(snapshot::Writer& w) const {
+    if (injector != nullptr) {
+      w.begin_section("INJC");
+      injector->save(w);
+      w.end_section();
+    }
+  }
+
+  void load_injector(snapshot::Reader& r) {
+    if (injector != nullptr) {
+      r.enter_section("INJC");
+      injector->load(r);
+      r.leave_section();
     }
   }
 
@@ -472,45 +486,10 @@ void MultiEnclaveRun::save(snapshot::Writer& w,
   const Impl& im = *impl_;
   SGXPL_CHECK_MSG(chain.kind == snapshot::FrameKind::kFull,
                   "save() writes full frames; deltas go through save_delta()");
-  snapshot::write_chain_header(w, chain);
-  snapshot::write_meta(w, meta());
+  snapshot::write_frame_head(w, chain, meta());
   im.save_tenants(w);
   im.driver->save_sections(w);
-  if (im.injector != nullptr) {
-    w.begin_section("INJC");
-    im.injector->save(w);
-    w.end_section();
-  }
-}
-
-void MultiEnclaveRun::load(snapshot::Reader& r) {
-  Impl& im = *impl_;
-  SGXPL_CHECK_MSG(r.version() >= 2,
-                  "format v1 snapshot: load it through load_bytes(), which "
-                  "upgrades in memory, or rewrite the file with "
-                  "'snapshot_tool upgrade'");
-  const snapshot::ChainHeader chain = snapshot::read_chain_header(r);
-  SGXPL_CHECK_MSG(chain.kind == snapshot::FrameKind::kFull,
-                  "this frame is delta "
-                      << chain.seq
-                      << " of a checkpoint chain and cannot be restored on "
-                         "its own; restore the chain from its base frame");
-  const snapshot::RunMeta stored = snapshot::read_meta(r);
-  const std::string mismatch = stored.incompatibility(meta());
-  SGXPL_CHECK_MSG(mismatch.empty(),
-                  "snapshot does not match this run: " << mismatch);
-  im.load_tenants(r);
-  im.driver->load_sections(r);
-  if (im.injector != nullptr) {
-    r.enter_section("INJC");
-    im.injector->load(r);
-    r.leave_section();
-  }
-  SGXPL_CHECK_MSG(r.sections_entered() == r.section_count(),
-                  "snapshot holds " << r.section_count()
-                                    << " sections but this run consumes "
-                                    << r.sections_entered());
-  im.finished = false;
+  im.save_injector(w);
 }
 
 std::vector<std::uint8_t> MultiEnclaveRun::save_bytes() const {
@@ -520,27 +499,19 @@ std::vector<std::uint8_t> MultiEnclaveRun::save_bytes() const {
 }
 
 void MultiEnclaveRun::load_bytes(const std::vector<std::uint8_t>& bytes) {
-  snapshot::validate_frame(bytes);
-  snapshot::Reader r(bytes);
-  if (r.version() < 2) {
-    const std::vector<std::uint8_t> upgraded =
-        snapshot::upgrade_v1_to_v2(bytes);
-    snapshot::Reader upgraded_reader(upgraded);
-    load(upgraded_reader);
-    return;
-  }
-  load(r);
+  Impl& im = *impl_;
+  snapshot::RunFrame f(bytes);
+  f.require(snapshot::FrameKind::kFull, meta());
+  im.load_tenants(f.body);
+  im.driver->load_sections(f.body);
+  im.load_injector(f.body);
+  f.finish();
+  im.finished = false;
 }
 
 bool MultiEnclaveRun::restore_if_compatible(
     const std::vector<std::uint8_t>& bytes) {
-  snapshot::validate_frame(bytes);
-  snapshot::Reader probe(bytes);
-  if (probe.version() >= 2) {
-    (void)snapshot::read_chain_header(probe);
-  }
-  const snapshot::RunMeta stored = snapshot::read_meta(probe);
-  if (!stored.incompatibility(meta()).empty()) {
+  if (!snapshot::RunFrame(bytes).meta.incompatibility(meta()).empty()) {
     return false;
   }
   load_bytes(bytes);
@@ -554,41 +525,21 @@ void MultiEnclaveRun::save_delta(snapshot::Writer& w,
   SGXPL_CHECK_MSG(chain.kind == snapshot::FrameKind::kDelta,
                   "save_delta() writes delta frames; full frames go through "
                   "save()");
-  snapshot::write_chain_header(w, chain);
-  snapshot::write_meta(w, meta());
+  snapshot::write_frame_head(w, chain, meta());
   im.save_tenants(w);
   im.driver->save_delta_sections(w, last);
-  if (im.injector != nullptr) {
-    w.begin_section("INJC");
-    im.injector->save(w);
-    w.end_section();
-  }
+  im.save_injector(w);
 }
 
 void MultiEnclaveRun::apply_delta_bytes(
     const std::vector<std::uint8_t>& bytes) {
   Impl& im = *impl_;
-  snapshot::validate_frame(bytes);
-  snapshot::Reader r(bytes);
-  const snapshot::ChainHeader chain = snapshot::read_chain_header(r);
-  SGXPL_CHECK_MSG(chain.kind == snapshot::FrameKind::kDelta,
-                  "apply_delta_bytes() on a full frame; restore it with "
-                  "load_bytes()");
-  const snapshot::RunMeta stored = snapshot::read_meta(r);
-  const std::string mismatch = stored.incompatibility(meta());
-  SGXPL_CHECK_MSG(mismatch.empty(),
-                  "delta frame does not match this run: " << mismatch);
-  im.load_tenants(r);
-  im.driver->apply_delta_sections(r);
-  if (im.injector != nullptr) {
-    r.enter_section("INJC");
-    im.injector->load(r);
-    r.leave_section();
-  }
-  SGXPL_CHECK_MSG(r.sections_entered() == r.section_count(),
-                  "delta frame holds " << r.section_count()
-                                       << " sections but this run consumes "
-                                       << r.sections_entered());
+  snapshot::RunFrame f(bytes);
+  f.require(snapshot::FrameKind::kDelta, meta());
+  im.load_tenants(f.body);
+  im.driver->apply_delta_sections(f.body);
+  im.load_injector(f.body);
+  f.finish();
   im.finished = false;
 }
 

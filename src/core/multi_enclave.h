@@ -76,13 +76,12 @@ class MultiEnclaveRun {
   MultiEnclaveResult run_to_end();
 
   // --- checkpoint/restore (same contract as SimulationRun) ---
-  // Format v2 lays multi-enclave state out per tenant: an "ENCM" identity
+  // A frame lays multi-enclave state out per tenant: an "ENCM" identity
   // section, the tenant's "APPS" clock/metrics, and its "DFPE" engine (when
   // the scheme runs one) are grouped per enclave so one tenant can be
   // extracted and inspected standalone (snapshot::extract_enclave).
   void save(snapshot::Writer& w) const;
   void save(snapshot::Writer& w, const snapshot::ChainHeader& chain) const;
-  void load(snapshot::Reader& r);
   std::vector<std::uint8_t> save_bytes() const;
   void load_bytes(const std::vector<std::uint8_t>& bytes);
   bool restore_if_compatible(const std::vector<std::uint8_t>& bytes);

@@ -42,9 +42,9 @@ struct CheckpointOptions {
   /// top of the base automatically.
   std::string resume_path;
   /// Emit a full base snapshot every N checkpoints and incremental delta
-  /// frames in between (snapshot format v2). 1 = every checkpoint is a full
-  /// snapshot (the pre-v2 behaviour); larger values bound the delta-chain
-  /// length a resume has to replay. 0 is treated as 1.
+  /// frames in between. 1 = every checkpoint is a full snapshot; larger
+  /// values bound the delta-chain length a resume has to replay. 0 is
+  /// treated as 1.
   std::uint64_t full_every = 1;
 };
 

@@ -319,8 +319,7 @@ snapshot::RunMeta ShardedFleetRun::meta() const {
 
 std::vector<std::uint8_t> ShardedFleetRun::save_bytes() const {
   snapshot::Writer w;
-  snapshot::write_chain_header(w, snapshot::ChainHeader{});
-  snapshot::write_meta(w, meta());
+  snapshot::write_frame_head(w, snapshot::ChainHeader{}, meta());
   w.begin_section("SHRD");
   w.u64("shard.epoch", epoch_);
   w.u64("shard.horizon", horizon_);
@@ -371,30 +370,21 @@ void ShardedFleetRun::load_from_reader(snapshot::Reader& r) {
 }
 
 void ShardedFleetRun::load_bytes(const std::vector<std::uint8_t>& bytes) {
-  snapshot::validate_frame(bytes);
-  snapshot::Reader r(bytes);
-  const auto chain = snapshot::read_chain_header(r);
-  SGXPL_CHECK_MSG(chain.kind == snapshot::FrameKind::kFull,
-                  "sharded-fleet frames are always full frames");
-  const snapshot::RunMeta got = snapshot::read_meta(r);
-  const std::string why = got.incompatibility(meta());
-  SGXPL_CHECK_MSG(why.empty(), "incompatible fleet snapshot: " << why);
-  load_from_reader(r);
+  snapshot::RunFrame f(bytes);
+  f.require(snapshot::FrameKind::kFull, meta());
+  load_from_reader(f.body);
+  f.finish();
 }
 
 bool ShardedFleetRun::restore_if_compatible(
     const std::vector<std::uint8_t>& bytes) {
-  snapshot::validate_frame(bytes);
-  snapshot::Reader r(bytes);
-  const auto chain = snapshot::read_chain_header(r);
-  if (chain.kind != snapshot::FrameKind::kFull) {
+  snapshot::RunFrame f(bytes);
+  if (f.chain.kind != snapshot::FrameKind::kFull ||
+      !f.meta.incompatibility(meta()).empty()) {
     return false;
   }
-  const snapshot::RunMeta got = snapshot::read_meta(r);
-  if (!got.incompatibility(meta()).empty()) {
-    return false;
-  }
-  load_from_reader(r);
+  load_from_reader(f.body);
+  f.finish();
   return true;
 }
 

@@ -10,7 +10,6 @@
 #include "sgxsim/driver.h"
 #include "snapshot/chain.h"
 #include "snapshot/codec.h"
-#include "snapshot/migrate.h"
 
 namespace sgxpl::core {
 
@@ -319,36 +318,10 @@ void SimulationRun::save(snapshot::Writer& w,
                          const snapshot::ChainHeader& chain) const {
   SGXPL_CHECK_MSG(chain.kind == snapshot::FrameKind::kFull,
                   "save() writes full frames; deltas go through save_delta()");
-  snapshot::write_chain_header(w, chain);
-  snapshot::write_meta(w, meta());
+  snapshot::write_frame_head(w, chain, meta());
   save_run_section(w);
   driver_->save_sections(w);
   save_tail_sections(w);
-}
-
-void SimulationRun::load(snapshot::Reader& r) {
-  SGXPL_CHECK_MSG(r.version() >= 2,
-                  "format v1 snapshot: load it through load_bytes(), which "
-                  "upgrades in memory, or rewrite the file with "
-                  "'snapshot_tool upgrade'");
-  const snapshot::ChainHeader chain = snapshot::read_chain_header(r);
-  SGXPL_CHECK_MSG(chain.kind == snapshot::FrameKind::kFull,
-                  "this frame is delta "
-                      << chain.seq
-                      << " of a checkpoint chain and cannot be restored on "
-                         "its own; restore the chain from its base frame");
-  const snapshot::RunMeta stored = snapshot::read_meta(r);
-  const std::string mismatch = stored.incompatibility(meta());
-  SGXPL_CHECK_MSG(mismatch.empty(),
-                  "snapshot does not match this run: " << mismatch);
-  load_run_section(r);
-  driver_->load_sections(r);
-  load_tail_sections(r);
-  SGXPL_CHECK_MSG(r.sections_entered() == r.section_count(),
-                  "snapshot holds " << r.section_count()
-                                    << " sections but this run consumes "
-                                    << r.sections_entered());
-  finished_ = false;
 }
 
 std::vector<std::uint8_t> SimulationRun::save_bytes() const {
@@ -358,27 +331,18 @@ std::vector<std::uint8_t> SimulationRun::save_bytes() const {
 }
 
 void SimulationRun::load_bytes(const std::vector<std::uint8_t>& bytes) {
-  snapshot::validate_frame(bytes);
-  snapshot::Reader r(bytes);
-  if (r.version() < 2) {
-    const std::vector<std::uint8_t> upgraded =
-        snapshot::upgrade_v1_to_v2(bytes);
-    snapshot::Reader upgraded_reader(upgraded);
-    load(upgraded_reader);
-    return;
-  }
-  load(r);
+  snapshot::RunFrame f(bytes);
+  f.require(snapshot::FrameKind::kFull, meta());
+  load_run_section(f.body);
+  driver_->load_sections(f.body);
+  load_tail_sections(f.body);
+  f.finish();
+  finished_ = false;
 }
 
 bool SimulationRun::restore_if_compatible(
     const std::vector<std::uint8_t>& bytes) {
-  snapshot::validate_frame(bytes);
-  snapshot::Reader probe(bytes);
-  if (probe.version() >= 2) {
-    (void)snapshot::read_chain_header(probe);
-  }
-  const snapshot::RunMeta stored = snapshot::read_meta(probe);
-  if (!stored.incompatibility(meta()).empty()) {
+  if (!snapshot::RunFrame(bytes).meta.incompatibility(meta()).empty()) {
     return false;
   }
   load_bytes(bytes);
@@ -391,31 +355,19 @@ void SimulationRun::save_delta(snapshot::Writer& w,
   SGXPL_CHECK_MSG(chain.kind == snapshot::FrameKind::kDelta,
                   "save_delta() writes delta frames; full frames go through "
                   "save()");
-  snapshot::write_chain_header(w, chain);
-  snapshot::write_meta(w, meta());
+  snapshot::write_frame_head(w, chain, meta());
   save_run_section(w);
   driver_->save_delta_sections(w, last);
   save_tail_sections(w);
 }
 
 void SimulationRun::apply_delta_bytes(const std::vector<std::uint8_t>& bytes) {
-  snapshot::validate_frame(bytes);
-  snapshot::Reader r(bytes);
-  const snapshot::ChainHeader chain = snapshot::read_chain_header(r);
-  SGXPL_CHECK_MSG(chain.kind == snapshot::FrameKind::kDelta,
-                  "apply_delta_bytes() on a full frame; restore it with "
-                  "load_bytes()");
-  const snapshot::RunMeta stored = snapshot::read_meta(r);
-  const std::string mismatch = stored.incompatibility(meta());
-  SGXPL_CHECK_MSG(mismatch.empty(),
-                  "delta frame does not match this run: " << mismatch);
-  load_run_section(r);
-  driver_->apply_delta_sections(r);
-  load_tail_sections(r);
-  SGXPL_CHECK_MSG(r.sections_entered() == r.section_count(),
-                  "delta frame holds " << r.section_count()
-                                       << " sections but this run consumes "
-                                       << r.sections_entered());
+  snapshot::RunFrame f(bytes);
+  f.require(snapshot::FrameKind::kDelta, meta());
+  load_run_section(f.body);
+  driver_->apply_delta_sections(f.body);
+  load_tail_sections(f.body);
+  f.finish();
   finished_ = false;
 }
 

@@ -82,12 +82,9 @@ class SimulationRun {
   /// Snapshotter uses it for chain bases).
   void save(snapshot::Writer& w) const;
   void save(snapshot::Writer& w, const snapshot::ChainHeader& chain) const;
-  /// Read a format-v2 full frame. Rejects delta frames (restore those
-  /// through snapshot::restore_chain) and v1 frames (load_bytes upgrades
-  /// those in memory first).
-  void load(snapshot::Reader& r);
-  /// save()/load() through a complete framed snapshot. load_bytes accepts
-  /// format-v1 bytes and upgrades them through the migration shim.
+  /// save() through a complete framed snapshot, and its inverse:
+  /// load_bytes reads a full frame of this run. It rejects delta frames
+  /// (restore those through snapshot::restore_chain).
   std::vector<std::uint8_t> save_bytes() const;
   void load_bytes(const std::vector<std::uint8_t>& bytes);
   /// Meta-gated restore: returns false (leaving the run untouched) when
@@ -95,7 +92,7 @@ class SimulationRun {
   /// enclave geometry; throws CheckFailure when `bytes` is corrupt.
   bool restore_if_compatible(const std::vector<std::uint8_t>& bytes);
 
-  /// Delta checkpointing (format v2): save_delta writes a frame holding the
+  /// Delta checkpointing: save_delta writes a frame holding the
   /// chain header, META, RUNS, the always-rewritten DRVR section, sparse
   /// deltas of only the bulk structures whose generation moved past `last`,
   /// and the (small) DFPE/INJC sections. apply_delta_bytes replays such a

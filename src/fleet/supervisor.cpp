@@ -892,16 +892,10 @@ FleetReport FleetSupervisor::report() const {
 }
 
 // ---------------------------------------------------------------------------
-// The supervisor manifest (its own v2 frame; host frames stay untouched)
+// The supervisor manifest (its own frame; host frames stay untouched)
 // ---------------------------------------------------------------------------
 
 std::vector<std::uint8_t> FleetSupervisor::save_manifest() const {
-  snapshot::Writer w;
-  snapshot::write_chain_header(
-      w, snapshot::ChainHeader{.kind = snapshot::FrameKind::kFull,
-                               .chain_id = 0,
-                               .seq = 0,
-                               .prev_crc = 0});
   snapshot::RunMeta meta;
   meta.kind = "fleet-supervisor";
   meta.scheme = "fleet";
@@ -913,7 +907,8 @@ std::vector<std::uint8_t> FleetSupervisor::save_manifest() const {
   meta.chaos_seed = chaos_.plan().seed;
   meta.hardening_spec = policy_.spec();
   meta.cursor = epoch_;
-  snapshot::write_meta(w, meta);
+  snapshot::Writer w;
+  snapshot::write_frame_head(w, snapshot::ChainHeader{}, meta);
 
   w.begin_section("FLTS");
   w.u64("epoch", epoch_);
@@ -958,14 +953,13 @@ std::vector<std::uint8_t> FleetSupervisor::save_manifest() const {
 }
 
 void FleetSupervisor::load_manifest(const std::vector<std::uint8_t>& bytes) {
-  snapshot::validate_frame(bytes);
-  snapshot::Reader r(bytes);
-  const snapshot::ChainHeader ch = snapshot::read_chain_header(r);
+  snapshot::RunFrame f(bytes);
   SGXPL_CHECK_MSG(
-      ch.kind == snapshot::FrameKind::kFull && ch.chain_id == 0,
+      f.chain.kind == snapshot::FrameKind::kFull && f.chain.chain_id == 0,
       "fleet: a supervisor manifest is a standalone frame, not a chain "
       "member");
-  const snapshot::RunMeta meta = snapshot::read_meta(r);
+  const snapshot::RunMeta& meta = f.meta;
+  snapshot::Reader& r = f.body;
   SGXPL_CHECK_MSG(meta.kind == "fleet-supervisor",
                   "fleet: frame is not a supervisor manifest (kind '" +
                       meta.kind + "')");

@@ -1,11 +1,12 @@
-// Checkpoint chains (snapshot format v2).
+// Checkpoint chains.
 //
 // A chain is one full base frame plus zero or more delta frames stacked on
 // it. The Snapshotter decides per checkpoint whether to emit a base or a
 // delta (CheckpointOptions::full_every bounds the chain length), stamps the
 // CHNH chain header, and tracks the per-structure generation counters that
-// let a delta skip sections whose state did not move. restore_chain()
-// replays a chain and enforces its linkage invariants:
+// let a delta skip sections whose state did not move.
+//
+// probe_chain() is the only code that checks a chain's linkage:
 //
 //   - frame 0 must be a full base,
 //   - every later frame must be a delta of the SAME chain id,
@@ -14,10 +15,17 @@
 //     frame's bytes (so a substituted or regenerated frame is rejected even
 //     if its own CRCs are internally consistent).
 //
-// Violations throw ChainError (a CheckFailure subtype the recovery tests
-// can assert on). Everything here is a template over the run type so the
-// core library can drive chains for both SimulationRun and MultiEnclaveRun
-// without a layering inversion (this header depends only on the codec).
+// It returns a typed report and never touches a run. restore_chain() probes
+// the whole chain first and throws on the first fault — ChainError (a
+// CheckFailure subtype the recovery tests can assert on) for a linkage
+// fault, plain CheckFailure for a corrupt frame — so a chain that fails the
+// probe leaves the run exactly as it was. Only then does it apply the
+// frames. A frame that passes the probe but fails to apply still throws its
+// CheckFailure, and the run's state is then unspecified (restore_chain_salvage
+// instead drops that frame and keeps the prefix before it). Everything here
+// is a template over the run type so the core library can drive chains for
+// both SimulationRun and MultiEnclaveRun without a layering inversion (this
+// header depends only on the codec).
 #pragma once
 
 #include <cstddef>
@@ -75,8 +83,8 @@ struct ChainFrame {
 template <class Run>
 class Snapshotter {
  public:
-  /// `full_every` = 1 means every checkpoint is a full snapshot (the v1
-  /// behaviour); N > 1 stacks N-1 deltas on each base. 0 is treated as 1.
+  /// `full_every` = 1 means every checkpoint is a full snapshot; N > 1
+  /// stacks N-1 deltas on each base. 0 is treated as 1.
   explicit Snapshotter(std::uint64_t full_every = 1)
       : full_every_(full_every == 0 ? 1 : full_every) {}
 
@@ -146,63 +154,11 @@ class Snapshotter {
   std::uint64_t delta_bytes_ = 0;
 };
 
-/// Restore `run` from a chain given as in-memory frames (base first).
-/// Throws ChainError on linkage violations and CheckFailure on corrupt
-/// frames. Requires of `Run`: load_bytes(), apply_delta_bytes().
-template <class Run>
-void restore_chain(Run& run,
-                   const std::vector<std::vector<std::uint8_t>>& frames) {
-  if (frames.empty()) {
-    throw ChainError("checkpoint chain is empty — nothing to restore");
-  }
-  for (const auto& f : frames) validate_frame(f);
-  const ChainHeader base = read_chain_header_bytes(frames[0]);
-  if (base.kind != FrameKind::kFull) {
-    throw ChainError(
-        "checkpoint chain does not start with a full base frame (found "
-        "delta " +
-        std::to_string(base.seq) +
-        ") — the base is missing or the frames are reordered");
-  }
-  run.load_bytes(frames[0]);
-  std::uint32_t prev = crc32c(frames[0].data(), frames[0].size());
-  std::uint64_t expect_seq = 1;
-  for (std::size_t i = 1; i < frames.size(); ++i) {
-    const ChainHeader h = read_chain_header_bytes(frames[i]);
-    if (h.kind != FrameKind::kDelta) {
-      throw ChainError("frame " + std::to_string(i) +
-                       " of the checkpoint chain is a full base — chains "
-                       "hold one base followed by deltas only");
-    }
-    if (h.chain_id != base.chain_id) {
-      throw ChainError("delta " + std::to_string(h.seq) +
-                       " belongs to a different checkpoint chain (id " +
-                       std::to_string(h.chain_id) + ", base chain is " +
-                       std::to_string(base.chain_id) +
-                       ") — frames from separate chains were mixed");
-    }
-    if (h.seq != expect_seq) {
-      throw ChainError("expected delta seq " + std::to_string(expect_seq) +
-                       " but found " + std::to_string(h.seq) +
-                       " — the checkpoint chain is missing a frame or "
-                       "reordered");
-    }
-    if (h.prev_crc != prev) {
-      throw ChainError("delta " + std::to_string(h.seq) +
-                       " does not link to the preceding frame (prev-CRC "
-                       "mismatch) — a frame was substituted or reordered");
-    }
-    run.apply_delta_bytes(frames[i]);
-    prev = crc32c(frames[i].data(), frames[i].size());
-    ++expect_seq;
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Chain salvage: restore the longest valid prefix of a torn chain
+// The chain walk: probe, strict restore, salvage
 // ---------------------------------------------------------------------------
 
-/// Why a salvage walk stopped before the end of the offered chain.
+/// Why a chain walk stopped before the end of the offered chain.
 enum class ChainFault : std::uint8_t {
   kNone,             // whole chain valid and restored
   kEmptyChain,       // no frames offered
@@ -318,33 +274,42 @@ inline ChainSalvageReport probe_chain(
     if (i == 0) {
       if (h.kind != FrameKind::kFull) {
         stop(0, h.seq, ChainFault::kNoBase, 0,
-             "chain does not start with a full base frame (found delta " +
-                 std::to_string(h.seq) + ")");
+             "checkpoint chain does not start with a full base frame (found "
+             "delta " +
+                 std::to_string(h.seq) +
+                 ") — the base is missing or the frames are reordered");
         return rep;
       }
       base_id = h.chain_id;
     } else {
       if (h.kind != FrameKind::kDelta) {
         stop(i, h.seq, ChainFault::kWrongKind, 0,
-             "a full base frame appeared mid-chain");
+             "frame " + std::to_string(i) +
+                 " of the checkpoint chain is a full base — chains hold one "
+                 "base followed by deltas only");
         return rep;
       }
       if (h.chain_id != base_id) {
         stop(i, h.seq, ChainFault::kChainIdMismatch, 0,
-             "frame belongs to chain " + std::to_string(h.chain_id) +
-                 ", base chain is " + std::to_string(base_id));
+             "delta " + std::to_string(h.seq) +
+                 " belongs to a different checkpoint chain (id " +
+                 std::to_string(h.chain_id) + ", base chain is " +
+                 std::to_string(base_id) +
+                 ") — frames from separate chains were mixed");
         return rep;
       }
       if (h.seq != expect_seq) {
         stop(i, h.seq, ChainFault::kSeqGap, 0,
              "expected delta seq " + std::to_string(expect_seq) +
-                 " but found " + std::to_string(h.seq));
+                 " but found " + std::to_string(h.seq) +
+                 " — the checkpoint chain is missing a frame or reordered");
         return rep;
       }
       if (h.prev_crc != prev) {
         stop(i, h.seq, ChainFault::kPrevCrcMismatch, 0,
-             "frame does not link to the preceding frame (prev-CRC "
-             "mismatch)");
+             "delta " + std::to_string(h.seq) +
+                 " does not link to the preceding frame (prev-CRC mismatch) "
+                 "— a frame was substituted or reordered");
         return rep;
       }
     }
@@ -354,98 +319,131 @@ inline ChainSalvageReport probe_chain(
   return rep;
 }
 
+/// Throw the strict-restore exception for a failed probe: CheckFailure for
+/// a corrupt frame, ChainError for every linkage fault.
+[[noreturn]] inline void throw_chain_fault(const ChainSalvageReport& rep) {
+  if (rep.fault == ChainFault::kCorruptFrame) {
+    throw CheckFailure("frame " + std::to_string(rep.first_bad_index) +
+                       " of the checkpoint chain is corrupt at byte " +
+                       std::to_string(rep.byte_offset) + ": " + rep.detail);
+  }
+  throw ChainError(rep.detail);
+}
+
+/// Apply frames[begin, end) of a probed chain to `run`: frame 0 loads as
+/// the base, every later frame applies as a delta on top of its
+/// predecessors. The one apply loop behind every restore; callers check the
+/// linkage with probe_chain first. Requires of `Run`: load_bytes(),
+/// apply_delta_bytes().
+template <class Run>
+void apply_chain_frames(Run& run,
+                        const std::vector<std::vector<std::uint8_t>>& frames,
+                        std::size_t begin, std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i) {
+    if (i == 0) {
+      run.load_bytes(frames[0]);
+    } else {
+      run.apply_delta_bytes(frames[i]);
+    }
+  }
+}
+
+/// Restore `run` from a chain given as in-memory frames (base first).
+/// Throws ChainError on linkage violations and CheckFailure on corrupt
+/// frames, in both cases before touching the run.
+template <class Run>
+void restore_chain(Run& run,
+                   const std::vector<std::vector<std::uint8_t>>& frames) {
+  const ChainSalvageReport rep = probe_chain(frames);
+  if (!rep.complete()) throw_chain_fault(rep);
+  apply_chain_frames(run, frames, 0, frames.size());
+}
+
 /// Salvage-restore: restore the longest valid prefix of `frames` into `run`
 /// instead of aborting on the first bad frame (the torn-chain recovery path;
 /// contrast restore_chain, which throws). The prefix is computed up front
-/// (probe_chain), so a torn tail never touches the run; if a structurally
-/// valid frame still fails to load (e.g. a bit flip in an un-CRC'd section
-/// tag), the walk backs off one frame at a time and re-restores the shorter
-/// prefix from scratch, reporting kApplyFailed. When nothing is restorable
-/// (frames_restored == 0) the run is untouched — unless the base itself
-/// failed mid-load, in which case the run's state is unspecified and the
-/// report says so; callers must treat restored_any() == false as fatal.
+/// (probe_chain), so a torn tail never touches the run. If a structurally
+/// valid frame still fails to apply (e.g. a bit flip in an un-CRC'd section
+/// tag), that frame and everything after it are dropped, the prefix before
+/// it is re-applied from the base, and the report says kApplyFailed. When
+/// nothing is restorable (frames_restored == 0) the run is untouched —
+/// unless the base itself failed mid-load, in which case the run's state is
+/// unspecified and the report says so; callers must treat restored_any() ==
+/// false as fatal.
 template <class Run>
 ChainSalvageReport restore_chain_salvage(
     Run& run, const std::vector<std::vector<std::uint8_t>>& frames) {
   ChainSalvageReport rep = probe_chain(frames);
-  std::uint64_t want = rep.frames_restored;
+  const std::uint64_t valid = rep.frames_restored;
   rep.frames_restored = 0;
-  while (want > 0) {
+  for (std::size_t i = 0; i < valid; ++i) {
     try {
-      const std::vector<std::vector<std::uint8_t>> prefix(
-          frames.begin(), frames.begin() + static_cast<std::ptrdiff_t>(want));
-      restore_chain(run, prefix);
-      rep.frames_restored = want;
-      return rep;
+      apply_chain_frames(run, frames, i, i + 1);
     } catch (const CheckFailure& e) {
-      // A frame the structural probe accepted still refused to load; drop
-      // it (and everything after) and replay the shorter prefix so the run
-      // never keeps a half-applied frame's state.
+      // Drop the frame that refused to load (and everything after it), and
+      // replay the good prefix so the run never keeps its half-applied
+      // state.
       rep.fault = ChainFault::kApplyFailed;
-      rep.first_bad_index = want - 1;
-      rep.first_bad_seq = want - 1;
+      rep.first_bad_index = i;
+      rep.first_bad_seq = i;
       rep.byte_offset = 0;
       rep.detail = e.what();
-      --want;
+      apply_chain_frames(run, frames, 0, i);
+      return rep;
     }
+    rep.frames_restored = i + 1;
   }
   return rep;
 }
 
-/// Salvage the on-disk chain rooted at `base_path`: reads the base plus
-/// every consecutive `.delta-N` file beside it (unlike the strict resume
-/// scan, corrupt tail files are read and offered to the salvage walk rather
-/// than aborting the read loop) and restores the longest valid prefix.
+/// The on-disk chain rooted at `base_path`: the base plus every
+/// consecutive `.delta-N` file beside it, read whatever their content (the
+/// chain walk classifies it). Empty when the base file is unreadable.
+inline std::vector<std::vector<std::uint8_t>> read_chain_files(
+    const std::string& base_path) {
+  std::vector<std::vector<std::uint8_t>> frames;
+  if (!file_readable(base_path)) return frames;
+  frames.push_back(read_file(base_path));
+  for (std::uint64_t seq = 1;; ++seq) {
+    const std::string path = delta_path(base_path, seq);
+    if (!file_readable(path)) break;
+    frames.push_back(read_file(path));
+  }
+  return frames;
+}
+
+/// Salvage the on-disk chain rooted at `base_path`: restores the longest
+/// valid prefix of read_chain_files(base_path).
 template <class Run>
 ChainSalvageReport salvage_chain_from_files(Run& run,
                                             const std::string& base_path) {
-  std::vector<std::vector<std::uint8_t>> frames;
-  if (file_readable(base_path)) {
-    frames.push_back(read_file(base_path));
-    for (std::uint64_t seq = 1;; ++seq) {
-      const std::string path = delta_path(base_path, seq);
-      if (!file_readable(path)) break;
-      frames.push_back(read_file(path));
-    }
-  }
-  return restore_chain_salvage(run, frames);
+  return restore_chain_salvage(run, read_chain_files(base_path));
 }
 
 /// Resume `run` from the on-disk chain rooted at `base_path`: the base file
-/// plus every consecutive `.delta-N` beside it that belongs to the same
-/// chain (stale deltas left over from an older chain stop the scan and are
-/// ignored). Returns false — leaving the run untouched — when the base file
-/// is absent or identifies a different run configuration; still throws on
-/// corrupt frames or a broken chain. Format-v1 files restore through the
-/// migration shim (they are always chainless full snapshots).
+/// plus every consecutive `.delta-N` beside it up to the first one that is
+/// not a delta of the same chain (stale deltas left over from an older
+/// chain end the chain and are ignored). Returns false — leaving the run
+/// untouched — when the base file is absent or identifies a different run
+/// configuration; throws like restore_chain on corrupt frames or a broken
+/// chain.
 template <class Run>
 bool restore_chain_from_files(Run& run, const std::string& base_path) {
-  if (!file_readable(base_path)) return false;
-  std::vector<std::vector<std::uint8_t>> frames;
-  frames.push_back(read_file(base_path));
-  validate_frame(frames[0]);
-  Reader probe(frames[0]);
-  if (probe.version() < 2) {
-    return run.restore_if_compatible(frames[0]);
-  }
-  const ChainHeader base = read_chain_header(probe);
-  if (base.kind != FrameKind::kFull) {
+  const std::vector<std::vector<std::uint8_t>> frames =
+      read_chain_files(base_path);
+  if (frames.empty()) return false;
+  const RunFrame base(frames[0]);
+  if (base.chain.kind != FrameKind::kFull) {
     throw ChainError("'" + base_path +
                      "' holds a delta frame, not a chain base — restore "
                      "from the chain's base file");
   }
-  const RunMeta stored = read_meta(probe);
-  if (!stored.incompatibility(run.meta()).empty()) return false;
-  for (std::uint64_t seq = 1;; ++seq) {
-    const std::string path = delta_path(base_path, seq);
-    if (!file_readable(path)) break;
-    std::vector<std::uint8_t> bytes = read_file(path);
-    validate_frame(bytes);
-    const ChainHeader h = read_chain_header_bytes(bytes);
-    if (h.kind != FrameKind::kDelta || h.chain_id != base.chain_id) break;
-    frames.push_back(std::move(bytes));
-  }
-  restore_chain(run, frames);
+  if (!base.meta.incompatibility(run.meta()).empty()) return false;
+  const ChainSalvageReport rep = probe_chain(frames);
+  const bool stale_tail = rep.fault == ChainFault::kWrongKind ||
+                          rep.fault == ChainFault::kChainIdMismatch;
+  if (!rep.complete() && !stale_tail) throw_chain_fault(rep);
+  apply_chain_frames(run, frames, 0, rep.frames_restored);
   return true;
 }
 

@@ -197,13 +197,6 @@ void Writer::field(const FieldView& f) {
                              " has an unknown type");
 }
 
-void Writer::raw_section(std::string_view tag, const std::uint8_t* payload,
-                         std::size_t len) {
-  begin_section(tag);
-  for (std::size_t i = 0; i < len; ++i) put_u8(payload[i]);
-  end_section();
-}
-
 std::vector<std::uint8_t> Writer::finish() {
   SGXPL_CHECK_MSG(!in_section_,
                   "snapshot finish() with a section still open");
@@ -287,11 +280,10 @@ Reader::Reader(const std::uint8_t* data, std::size_t size)
   }
   pos_ = kMagic.size();
   version_ = take_u32();
-  if (version_ < kMinReadVersion || version_ > kFormatVersion) {
+  if (version_ != kFormatVersion) {
     std::ostringstream os;
     os << "unsupported format version " << version_ << " (this build reads "
-       << kMinReadVersion << ".." << kFormatVersion
-       << "); re-create the snapshot with a matching build";
+       << kFormatVersion << "); re-create the snapshot with a matching build";
     corrupt(os.str());
   }
   section_count_ = take_u32();
@@ -642,7 +634,7 @@ FrameProbe probe_frame(const std::vector<std::uint8_t>& bytes) noexcept {
     return p;
   }
   const std::uint32_t version = le32(kMagic.size());
-  if (version < kMinReadVersion || version > kFormatVersion) {
+  if (version != kFormatVersion) {
     p.reason = "unsupported format version " + std::to_string(version);
     p.offset = kMagic.size();
     return p;
@@ -693,18 +685,6 @@ FrameProbe probe_frame(const std::vector<std::uint8_t>& bytes) noexcept {
   return p;
 }
 
-void validate_frame(const std::vector<std::uint8_t>& bytes) {
-  Reader header_probe(bytes);  // magic + version checks
-  const std::vector<SectionSpan> spans = section_spans(bytes);
-  if (spans.size() != header_probe.section_count()) {
-    std::ostringstream os;
-    os << "snapshot: the header declares " << header_probe.section_count()
-       << " sections but the section table holds " << spans.size()
-       << " — the frame is corrupt";
-    throw CheckFailure(os.str());
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Chain header
 // ---------------------------------------------------------------------------
@@ -718,6 +698,8 @@ const char* to_string(FrameKind k) noexcept {
   }
   return "?";
 }
+
+namespace {
 
 void write_chain_header(Writer& w, const ChainHeader& h) {
   w.begin_section("CHNH");
@@ -757,13 +739,10 @@ ChainHeader read_chain_header(Reader& r) {
   return h;
 }
 
+}  // namespace
+
 ChainHeader read_chain_header_bytes(const std::vector<std::uint8_t>& bytes) {
   Reader r(bytes);
-  if (r.version() < 2) {
-    throw CheckFailure(
-        "snapshot: format v1 frames predate checkpoint chains; upgrade the "
-        "file first (snapshot_tool upgrade)");
-  }
   return read_chain_header(r);
 }
 
@@ -883,6 +862,65 @@ RunMeta read_meta(Reader& r) {
   m.cursor = r.u64("meta.cursor");
   r.leave_section();
   return m;
+}
+
+// ---------------------------------------------------------------------------
+// Run frames
+// ---------------------------------------------------------------------------
+
+void write_frame_head(Writer& w, const ChainHeader& chain,
+                      const RunMeta& meta) {
+  write_chain_header(w, chain);
+  write_meta(w, meta);
+}
+
+namespace {
+
+/// Cheap whole-frame structural check run before any load path touches a
+/// frame: the section table must walk exactly to end-of-file and its length
+/// must match the header's declared section count (the count field itself is
+/// outside any CRC, so this closes the one hole per-section CRCs leave).
+/// Returns `bytes`.
+const std::vector<std::uint8_t>& validated(
+    const std::vector<std::uint8_t>& bytes) {
+  Reader header_probe(bytes);  // magic + version checks
+  const std::vector<SectionSpan> spans = section_spans(bytes);
+  if (spans.size() != header_probe.section_count()) {
+    std::ostringstream os;
+    os << "snapshot: the header declares " << header_probe.section_count()
+       << " sections but the section table holds " << spans.size()
+       << " — the frame is corrupt";
+    throw CheckFailure(os.str());
+  }
+  return bytes;
+}
+
+}  // namespace
+
+RunFrame::RunFrame(const std::vector<std::uint8_t>& bytes)
+    : body(validated(bytes)),
+      chain(read_chain_header(body)),
+      meta(read_meta(body)) {}
+
+void RunFrame::require(FrameKind kind, const RunMeta& expect) const {
+  SGXPL_CHECK_MSG(chain.kind == kind || kind == FrameKind::kDelta,
+                  "this frame is delta "
+                      << chain.seq
+                      << " of a checkpoint chain and cannot be restored on "
+                         "its own; restore the chain from its base frame");
+  SGXPL_CHECK_MSG(chain.kind == kind,
+                  "a full frame cannot be applied as a delta; restore it "
+                  "with load_bytes()");
+  const std::string mismatch = meta.incompatibility(expect);
+  SGXPL_CHECK_MSG(mismatch.empty(),
+                  "snapshot does not match this run: " << mismatch);
+}
+
+void RunFrame::finish() const {
+  SGXPL_CHECK_MSG(body.sections_entered() == body.section_count(),
+                  "snapshot holds " << body.section_count()
+                                    << " sections but this run consumes "
+                                    << body.sections_entered());
 }
 
 // ---------------------------------------------------------------------------

@@ -32,10 +32,8 @@
 
 namespace sgxpl::snapshot {
 
+/// The one format version this build reads and writes.
 inline constexpr std::uint32_t kFormatVersion = 2;
-/// Oldest version the Reader still accepts (v1 frames are readable for
-/// migration; run-state loads require v2 — see migrate.h).
-inline constexpr std::uint32_t kMinReadVersion = 1;
 inline constexpr std::string_view kMagic = "SGXPLSNP";
 
 /// CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected), software table.
@@ -67,13 +65,9 @@ class Writer {
   void str(std::string_view label, std::string_view v);
   void u64_vec(std::string_view label, const std::vector<std::uint64_t>& v);
 
-  /// Re-emit a generically decoded field byte-identically (the migration
-  /// shim routes v1 fields into v2 sections through this).
+  /// Re-emit a generically decoded field byte-identically (the enclave
+  /// carves copy sections from one frame into another through this).
   void field(const FieldView& f);
-  /// Emit a whole section with a verbatim payload copied from another frame
-  /// (CRC is recomputed, which yields the same value for the same bytes).
-  void raw_section(std::string_view tag, const std::uint8_t* payload,
-                   std::size_t len);
 
   /// Finalize the snapshot (patches the section count). The writer must
   /// not be reused afterwards.
@@ -137,7 +131,7 @@ class Reader {
 
   /// Tag of the next section without entering it; empty string when the
   /// section table is exhausted. Lets a loader probe for the optional delta
-  /// sections of a v2 frame.
+  /// sections of a delta frame.
   std::string peek_section_tag() const;
 
   /// True while fields remain in the current section.
@@ -195,12 +189,6 @@ struct SectionSpan {
 /// Table of section spans. Validates framing but not payload CRCs.
 std::vector<SectionSpan> section_spans(const std::vector<std::uint8_t>& bytes);
 
-/// Cheap whole-frame structural check run before any load path touches a
-/// frame: the section table must walk exactly to end-of-file and its length
-/// must match the header's declared section count (the count field itself is
-/// outside any CRC, so this closes the one hole per-section CRCs leave).
-void validate_frame(const std::vector<std::uint8_t>& bytes);
-
 /// Verdict of probe_frame: where (byte offset) and why a frame is bad, so
 /// chain tooling (verify-chain, salvage) can report the fault position
 /// instead of just failing.
@@ -212,9 +200,9 @@ struct FrameProbe {
 };
 
 /// Non-throwing structural + integrity probe of a framed snapshot: magic,
-/// version range, section-table walk, declared-count match, and every
-/// section's payload CRC32C (validate_frame leaves CRCs to the decoder;
-/// this checks them up front). Catches every truncation and every payload
+/// format version, section-table walk, declared-count match, and every
+/// section's payload CRC32C (RunFrame leaves CRCs to the decoder; this
+/// checks them up front). Catches every truncation and every payload
 /// bit flip; the only corruption it cannot see is a flip inside a section
 /// header's tag bytes, which the typed decode path rejects instead.
 FrameProbe probe_frame(const std::vector<std::uint8_t>& bytes) noexcept;
@@ -230,7 +218,7 @@ struct TenantGeometry {
 };
 
 // ---------------------------------------------------------------------------
-// Chain header (format v2)
+// Chain header
 // ---------------------------------------------------------------------------
 
 enum class FrameKind : std::uint8_t {
@@ -240,7 +228,7 @@ enum class FrameKind : std::uint8_t {
 
 const char* to_string(FrameKind k) noexcept;
 
-/// First section ("CHNH") of every v2 frame: identifies the checkpoint chain
+/// First section ("CHNH") of every run frame: identifies the checkpoint chain
 /// the frame belongs to and its position within it. CRC-protected like any
 /// other section.
 struct ChainHeader {
@@ -255,11 +243,7 @@ struct ChainHeader {
   std::uint32_t prev_crc = 0;
 };
 
-/// Write `h` as the "CHNH" section (must be the frame's first section).
-void write_chain_header(Writer& w, const ChainHeader& h);
-/// Read the "CHNH" section (must be the next section of `r`).
-ChainHeader read_chain_header(Reader& r);
-/// Decode just the chain header of a framed v2 snapshot.
+/// Decode just the chain header of a framed snapshot.
 ChainHeader read_chain_header_bytes(const std::vector<std::uint8_t>& bytes);
 
 /// Run-length encode a sorted, duplicate-free id list as flattened
@@ -299,6 +283,37 @@ struct RunMeta {
 void write_meta(Writer& w, const RunMeta& meta);
 /// Read the "META" section (must be the next section of `r`).
 RunMeta read_meta(Reader& r);
+
+// ---------------------------------------------------------------------------
+// Run frames
+// ---------------------------------------------------------------------------
+
+/// Write the head every run frame opens with: the CHNH chain header, then
+/// the META run identity. The run's body sections follow.
+void write_frame_head(Writer& w, const ChainHeader& chain,
+                      const RunMeta& meta);
+
+/// A run frame opened for reading. Only this codec knows a run frame's
+/// layout (CHNH, then META, then the body); every other module writes the
+/// head with write_frame_head and reads a frame through RunFrame. The
+/// constructor checks the whole frame's section table against the
+/// header's declared count (the count field is outside any CRC) and decodes
+/// its head, leaving `body` at the first body section; any corruption
+/// throws CheckFailure. A view over the caller's buffer, like Reader.
+struct RunFrame {
+  explicit RunFrame(const std::vector<std::uint8_t>& bytes);
+  explicit RunFrame(std::vector<std::uint8_t>&&) = delete;
+
+  /// The gate before a run applies the body: throws CheckFailure unless
+  /// this is a `kind` frame whose META is compatible with `expect`.
+  void require(FrameKind kind, const RunMeta& expect) const;
+  /// Throws CheckFailure unless the body's sections were all consumed.
+  void finish() const;
+
+  Reader body;
+  ChainHeader chain;
+  RunMeta meta;
+};
 
 /// Typed outcome of a non-throwing atomic file write.
 enum class IoResult : std::uint8_t {

@@ -100,28 +100,30 @@ bool restore_from_file(core::MultiEnclaveRun& run, const std::string& path,
 
 namespace {
 
-/// A section decoded generically (for field inspection) alongside its raw
-/// payload span (for verbatim re-emission into the extracted frame).
+/// A body section decoded generically, for field inspection and for
+/// byte-identical re-emission into a carved frame.
 struct RawSection {
   std::string tag;
   std::vector<FieldView> fields;
-  const std::uint8_t* payload = nullptr;
-  std::size_t len = 0;
 };
 
-std::vector<RawSection> decode_raw_sections(
-    const std::vector<std::uint8_t>& bytes) {
-  const std::vector<SectionSpan> spans = section_spans(bytes);
-  Reader r(bytes);
+/// Open a multi-enclave full frame for carving and decode its body
+/// sections. `who` prefixes every refusal ("snapshot extract", ...).
+std::vector<RawSection> open_multi_frame(const RunFrame& f, const char* who) {
+  SGXPL_CHECK_MSG(f.chain.kind == FrameKind::kFull,
+                  who << ": delta frames hold partial state; use the "
+                         "chain's base frame");
+  SGXPL_CHECK_MSG(f.meta.kind == "multi-enclave",
+                  who << ": frame holds a '" << f.meta.kind
+                      << "' run, not a multi-enclave co-run");
+  Reader r = f.body;
   std::vector<RawSection> secs;
-  secs.reserve(spans.size());
-  for (const SectionSpan& span : spans) {
+  secs.reserve(r.section_count() - r.sections_entered());
+  while (r.sections_entered() < r.section_count()) {
     RawSection s;
     s.tag = r.enter_any_section();
     while (r.more_fields()) s.fields.push_back(r.next_field());
     r.leave_section();
-    s.payload = bytes.data() + span.offset + 16;
-    s.len = span.size - 16;
     secs.push_back(std::move(s));
   }
   return secs;
@@ -135,83 +137,74 @@ const FieldView& raw_field(const RawSection& s, const std::string& label) {
                      "' lacks field '" + label + "'");
 }
 
+void copy_section(Writer& w, const RawSection& s) {
+  w.begin_section(s.tag);
+  for (const FieldView& f : s.fields) w.field(f);
+  w.end_section();
+}
+
+/// One tenant's [ENCM, APPS, DFPE?] group within a co-run frame.
+struct TenantGroup {
+  const RawSection* encm = nullptr;
+  const RawSection* apps = nullptr;
+  const RawSection* dfpe = nullptr;  // null when the scheme runs no DFP
+};
+
+TenantGroup find_tenant(const std::vector<RawSection>& secs,
+                        std::uint64_t enclave, const char* who) {
+  TenantGroup g;
+  std::uint64_t enclaves = 0;
+  for (std::size_t i = 0; i < secs.size(); ++i) {
+    if (secs[i].tag != "ENCM") continue;
+    ++enclaves;
+    if (g.encm != nullptr ||
+        raw_field(secs[i], "enc.index").u64v != enclave) {
+      continue;
+    }
+    g.encm = &secs[i];
+    SGXPL_CHECK_MSG(i + 1 < secs.size() && secs[i + 1].tag == "APPS",
+                    who << ": tenant group " << enclave
+                        << " lacks its APPS section");
+    g.apps = &secs[i + 1];
+    if (raw_field(*g.encm, "enc.has_dfp").boolv) {
+      SGXPL_CHECK_MSG(i + 2 < secs.size() && secs[i + 2].tag == "DFPE",
+                      who << ": tenant group " << enclave
+                          << " claims a DFP engine but carries no DFPE "
+                             "section");
+      g.dfpe = &secs[i + 2];
+    }
+  }
+  if (g.encm == nullptr) {
+    throw CheckFailure(std::string(who) + ": no enclave " +
+                       std::to_string(enclave) + " in this frame (it holds " +
+                       std::to_string(enclaves) + " enclaves)");
+  }
+  return g;
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> extract_enclave(
     const std::vector<std::uint8_t>& bytes, std::uint64_t enclave) {
-  validate_frame(bytes);
-  {
-    Reader probe(bytes);
-    SGXPL_CHECK_MSG(probe.version() >= 2,
-                    "format v1 frames have no per-enclave sections; upgrade "
-                    "the file first (snapshot_tool upgrade)");
-  }
-  const std::vector<RawSection> secs = decode_raw_sections(bytes);
-  SGXPL_CHECK_MSG(secs.size() >= 2 && secs[0].tag == "CHNH" &&
-                      secs[1].tag == "META",
-                  "snapshot extract: not a v2 run frame (missing chain "
-                  "header or META)");
-  SGXPL_CHECK_MSG(raw_field(secs[0], "chain.kind").strv == "full",
-                  "snapshot extract: delta frames hold partial state; "
-                  "extract from the chain's base frame");
-  const RawSection& meta = secs[1];
-  const std::string kind = raw_field(meta, "meta.kind").strv;
-  SGXPL_CHECK_MSG(kind == "multi-enclave",
-                  "snapshot extract: frame holds a '"
-                      << kind << "' run, not a multi-enclave co-run");
-
-  // Locate the target tenant's [ENCM, APPS, DFPE?] group.
-  const RawSection* encm = nullptr;
-  const RawSection* apps = nullptr;
-  const RawSection* dfpe = nullptr;
-  std::uint64_t enclaves = 0;
-  for (std::size_t i = 2; i < secs.size(); ++i) {
-    if (secs[i].tag != "ENCM") continue;
-    ++enclaves;
-    if (encm != nullptr || raw_field(secs[i], "enc.index").u64v != enclave) {
-      continue;
-    }
-    encm = &secs[i];
-    SGXPL_CHECK_MSG(i + 1 < secs.size() && secs[i + 1].tag == "APPS",
-                    "snapshot extract: tenant group " << enclave
-                                                      << " lacks its APPS "
-                                                         "section");
-    apps = &secs[i + 1];
-    if (raw_field(*encm, "enc.has_dfp").boolv) {
-      SGXPL_CHECK_MSG(i + 2 < secs.size() && secs[i + 2].tag == "DFPE",
-                      "snapshot extract: tenant group "
-                          << enclave << " claims a DFP engine but carries no "
-                                        "DFPE section");
-      dfpe = &secs[i + 2];
-    }
-  }
-  if (encm == nullptr) {
-    throw CheckFailure("snapshot extract: no enclave " +
-                       std::to_string(enclave) + " in this frame (it holds " +
-                       std::to_string(enclaves) + " enclaves)");
-  }
+  const RunFrame f(bytes);
+  const std::vector<RawSection> secs =
+      open_multi_frame(f, "snapshot extract");
+  const TenantGroup g = find_tenant(secs, enclave, "snapshot extract");
 
   // Standalone frame: platform fields carry over from the co-run's META,
   // identity narrows to the one tenant.
-  RunMeta em;
+  RunMeta em = f.meta;
   em.kind = "enclave-extract";
-  em.scheme = raw_field(*encm, "enc.scheme").strv;
-  em.trace_name = raw_field(*encm, "enc.trace").strv;
-  em.trace_accesses = raw_field(meta, "meta.trace_accesses").u64v;
-  em.elrange_pages = raw_field(meta, "meta.elrange_pages").u64v;
-  em.epc_pages = raw_field(meta, "meta.epc_pages").u64v;
-  em.chaos_spec = raw_field(meta, "meta.chaos_spec").strv;
-  em.chaos_seed = raw_field(meta, "meta.chaos_seed").u64v;
-  em.hardening_spec = raw_field(meta, "meta.hardening_spec").strv;
-  em.cursor = raw_field(*apps, "app.cursor").u64v;
+  em.scheme = raw_field(*g.encm, "enc.scheme").strv;
+  em.trace_name = raw_field(*g.encm, "enc.trace").strv;
+  em.cursor = raw_field(*g.apps, "app.cursor").u64v;
 
   Writer w;
-  write_chain_header(w, ChainHeader{});
-  write_meta(w, em);
-  w.raw_section("ENCM", encm->payload, encm->len);
-  w.raw_section("APPS", apps->payload, apps->len);
-  if (dfpe != nullptr) {
-    w.raw_section("DFPE", dfpe->payload, dfpe->len);
+  write_frame_head(w, ChainHeader{}, em);
+  copy_section(w, *g.encm);
+  copy_section(w, *g.apps);
+  if (g.dfpe != nullptr) {
+    copy_section(w, *g.dfpe);
   }
   return w.finish();
 }
@@ -424,27 +417,9 @@ void emit_bstr_carved(Writer& w, const RawSection& bstr, std::uint64_t lo,
 std::vector<std::uint8_t> extract_resumable(
     const std::vector<std::uint8_t>& bytes, std::uint64_t enclave,
     const TenantGeometry& geo) {
-  validate_frame(bytes);
-  {
-    Reader probe(bytes);
-    SGXPL_CHECK_MSG(probe.version() >= 2,
-                    "format v1 frames have no per-enclave sections; upgrade "
-                    "the file first (snapshot_tool upgrade)");
-  }
-  const std::vector<RawSection> secs = decode_raw_sections(bytes);
-  SGXPL_CHECK_MSG(secs.size() >= 2 && secs[0].tag == "CHNH" &&
-                      secs[1].tag == "META",
-                  "resumable carve: not a v2 run frame (missing chain "
-                  "header or META)");
-  SGXPL_CHECK_MSG(raw_field(secs[0], "chain.kind").strv == "full",
-                  "resumable carve: delta frames hold partial state; carve "
-                  "from the chain's base frame");
-  const RawSection& meta = secs[1];
-  const std::string kind = raw_field(meta, "meta.kind").strv;
-  SGXPL_CHECK_MSG(kind == "multi-enclave",
-                  "resumable carve: frame holds a '"
-                      << kind << "' run, not a multi-enclave co-run");
-  const std::uint64_t combined = raw_field(meta, "meta.elrange_pages").u64v;
+  const RunFrame f(bytes);
+  const std::vector<RawSection> secs = open_multi_frame(f, "resumable carve");
+  const std::uint64_t combined = f.meta.elrange_pages;
   SGXPL_CHECK_MSG(geo.pages > 0 && geo.lo < combined &&
                       combined - geo.lo >= geo.pages,
                   "resumable carve: tenant geometry ["
@@ -455,37 +430,8 @@ std::vector<std::uint8_t> extract_resumable(
   const std::uint64_t hi = geo.lo + geo.pages;
   const bool identity = lo == 0 && geo.pages == combined;
 
-  // Locate the target tenant's [ENCM, APPS, DFPE?] group.
-  const RawSection* encm = nullptr;
-  const RawSection* apps = nullptr;
-  const RawSection* dfpe = nullptr;
-  std::uint64_t enclaves = 0;
-  for (std::size_t i = 2; i < secs.size(); ++i) {
-    if (secs[i].tag != "ENCM") continue;
-    ++enclaves;
-    if (encm != nullptr || raw_field(secs[i], "enc.index").u64v != enclave) {
-      continue;
-    }
-    encm = &secs[i];
-    SGXPL_CHECK_MSG(i + 1 < secs.size() && secs[i + 1].tag == "APPS",
-                    "resumable carve: tenant group " << enclave
-                                                     << " lacks its APPS "
-                                                        "section");
-    apps = &secs[i + 1];
-    if (raw_field(*encm, "enc.has_dfp").boolv) {
-      SGXPL_CHECK_MSG(i + 2 < secs.size() && secs[i + 2].tag == "DFPE",
-                      "resumable carve: tenant group "
-                          << enclave << " claims a DFP engine but carries no "
-                                        "DFPE section");
-      dfpe = &secs[i + 2];
-    }
-  }
-  if (encm == nullptr) {
-    throw CheckFailure("resumable carve: no enclave " +
-                       std::to_string(enclave) + " in this frame (it holds " +
-                       std::to_string(enclaves) + " enclaves)");
-  }
-  SGXPL_CHECK_MSG(dfpe == nullptr || lo == 0,
+  const TenantGroup g = find_tenant(secs, enclave, "resumable carve");
+  SGXPL_CHECK_MSG(g.dfpe == nullptr || lo == 0,
                   "resumable carve: tenant "
                       << enclave
                       << " runs a DFP engine whose state is keyed to "
@@ -513,40 +459,33 @@ std::vector<std::uint8_t> extract_resumable(
                          "require the CLOCK policy");
 
   Writer w;
-  write_chain_header(w, ChainHeader{});
   if (identity) {
     // A sole tenant owns the whole combined space: every section past the
     // chain header carves verbatim, so the destination's first frame is
     // byte-identical to the source's state (the bit-exactness the
     // migration differential pins).
-    for (std::size_t i = 1; i < secs.size(); ++i) {
-      w.raw_section(secs[i].tag, secs[i].payload, secs[i].len);
-    }
+    write_frame_head(w, ChainHeader{}, f.meta);
+    for (const RawSection& s : secs) copy_section(w, s);
     return w.finish();
   }
 
-  RunMeta em;
-  em.kind = "multi-enclave";
-  em.scheme = raw_field(*encm, "enc.scheme").strv;
-  em.trace_name = raw_field(*encm, "enc.trace").strv;
+  RunMeta em = f.meta;
+  em.scheme = raw_field(*g.encm, "enc.scheme").strv;
+  em.trace_name = raw_field(*g.encm, "enc.trace").strv;
   em.trace_accesses = geo.trace_accesses;
   em.elrange_pages = geo.pages;
-  em.epc_pages = raw_field(meta, "meta.epc_pages").u64v;
-  em.chaos_spec = raw_field(meta, "meta.chaos_spec").strv;
-  em.chaos_seed = raw_field(meta, "meta.chaos_seed").u64v;
-  em.hardening_spec = raw_field(meta, "meta.hardening_spec").strv;
-  em.cursor = raw_field(*apps, "app.cursor").u64v;
-  write_meta(w, em);
+  em.cursor = raw_field(*g.apps, "app.cursor").u64v;
+  write_frame_head(w, ChainHeader{}, em);
 
   w.begin_section("ENCM");
   w.u64("enc.index", 0);
   w.str("enc.scheme", em.scheme);
   w.str("enc.trace", em.trace_name);
-  w.boolean("enc.has_dfp", dfpe != nullptr);
+  w.boolean("enc.has_dfp", g.dfpe != nullptr);
   w.end_section();
-  w.raw_section("APPS", apps->payload, apps->len);
-  if (dfpe != nullptr) {
-    w.raw_section("DFPE", dfpe->payload, dfpe->len);
+  copy_section(w, *g.apps);
+  if (g.dfpe != nullptr) {
+    copy_section(w, *g.dfpe);
   }
   emit_drvr_carved(w, drvr, enclave, lo, hi);
   emit_pgtb_carved(w, find("PGTB"), lo, hi);
@@ -556,7 +495,7 @@ std::vector<std::uint8_t> extract_resumable(
   if (injc != nullptr) {
     // Platform-level chaos bookkeeping carries over whole: the injector is
     // shared infrastructure, not per-tenant state.
-    w.raw_section("INJC", injc->payload, injc->len);
+    copy_section(w, *injc);
   }
   return w.finish();
 }
@@ -568,17 +507,13 @@ std::vector<std::uint8_t> extract_resumable(const core::MultiEnclaveRun& run,
 }
 
 ExtractedEnclave read_extracted(const std::vector<std::uint8_t>& bytes) {
-  validate_frame(bytes);
-  Reader r(bytes);
-  SGXPL_CHECK_MSG(r.version() >= 2,
-                  "not an extracted-enclave frame (format v1)");
-  const ChainHeader chain = read_chain_header(r);
-  SGXPL_CHECK_MSG(chain.kind == FrameKind::kFull,
+  RunFrame f(bytes);
+  SGXPL_CHECK_MSG(f.chain.kind == FrameKind::kFull,
                   "extracted-enclave frames are standalone full frames");
-  const RunMeta meta = read_meta(r);
-  SGXPL_CHECK_MSG(meta.kind == "enclave-extract",
-                  "frame holds a '" << meta.kind
+  SGXPL_CHECK_MSG(f.meta.kind == "enclave-extract",
+                  "frame holds a '" << f.meta.kind
                                     << "' run, not an extracted enclave");
+  Reader& r = f.body;
   ExtractedEnclave out;
   r.enter_section("ENCM");
   out.index = r.u64("enc.index");
@@ -600,11 +535,7 @@ ExtractedEnclave read_extracted(const std::vector<std::uint8_t>& bytes) {
     while (r.more_fields()) (void)r.next_field();
     r.leave_section();
   }
-  SGXPL_CHECK_MSG(r.sections_entered() == r.section_count(),
-                  "extracted frame holds " << r.section_count()
-                                           << " sections but decoding "
-                                              "consumed "
-                                           << r.sections_entered());
+  f.finish();
   return out;
 }
 

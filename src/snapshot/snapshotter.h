@@ -53,7 +53,7 @@ bool restore_from_file(core::SimulationRun& run, const std::string& path,
 bool restore_from_file(core::MultiEnclaveRun& run, const std::string& path,
                        obs::MetricsRegistry* reg);
 
-// --- per-enclave extraction (format v2 multi-enclave frames) ---
+// --- per-enclave extraction (multi-enclave frames) ---
 
 /// One tenant lifted out of a multi-enclave snapshot: identity from its
 /// ENCM section, clocks and metrics from its APPS section. The shared
@@ -70,10 +70,10 @@ struct ExtractedEnclave {
   core::Metrics metrics;
 };
 
-/// Rewrite one tenant's sections from a v2 multi-enclave frame as a
-/// standalone v2 full frame (META kind "enclave-extract" + the tenant's
+/// Rewrite one tenant's sections from a multi-enclave frame as a
+/// standalone full frame (META kind "enclave-extract" + the tenant's
 /// ENCM/APPS and DFPE when present), so one tenant can be shipped or
-/// inspected without the co-run. v1 frames must be upgraded first. Throws
+/// inspected without the co-run. Throws
 /// CheckFailure when `bytes` is not a multi-enclave full frame or `enclave`
 /// is out of range (the refusal the recovery tests pin).
 std::vector<std::uint8_t> extract_enclave(const std::vector<std::uint8_t>& bytes,
@@ -84,7 +84,7 @@ ExtractedEnclave read_extracted(const std::vector<std::uint8_t>& bytes);
 
 // --- resumable extraction (the live-migration carve) ---
 
-/// Carve one tenant's *resumable* slice out of a v2 multi-enclave full
+/// Carve one tenant's *resumable* slice out of a multi-enclave full
 /// frame. Unlike extract_enclave (inspection only), the result is a
 /// standalone single-tenant frame of kind "multi-enclave" that a freshly
 /// constructed one-tenant MultiEnclaveRun over the same trace/scheme/config
@@ -102,7 +102,7 @@ ExtractedEnclave read_extracted(const std::vector<std::uint8_t>& bytes);
 /// eviction/scan statistics carry over whole) but exact on all per-page
 /// state.
 ///
-/// Typed refusals (CheckFailure): delta frames, v1 frames, out-of-range
+/// Typed refusals (CheckFailure): delta frames, out-of-range
 /// enclave or geometry, a non-CLOCK eviction policy on a co-tenant carve
 /// (other policies serialize global page lists this carve cannot rebase),
 /// and a DFP tenant placed above offset 0 (its engine state is keyed to

@@ -1,12 +1,11 @@
-// Regenerates the current-era half of the golden snapshot corpus from the
-// recipe in golden_recipe.h:
+// Regenerates the golden snapshot corpus from the recipe in
+// golden_recipe.h:
 //
 //   golden_gen <output-dir>
 //
-// writes single-<case>.snap for every single-enclave case plus multi.snap,
-// in the snapshot format this build writes. Files produced by an older
-// format era (tests/golden/v1/) are frozen artifacts and can never be
-// regenerated — see tests/golden/README.md.
+// writes single-<case>.snap for every single-enclave case, multi.snap and
+// the chain-dfpstop.snap chain, in the snapshot format this build writes
+// (the only one it reads) — see tests/golden/README.md.
 #include <cstddef>
 #include <cstdio>
 #include <string>

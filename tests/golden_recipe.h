@@ -4,11 +4,10 @@
 // tool (tests/golden_gen.cpp) share this header, so "regenerate and
 // compare" is well-defined.
 //
-// DO NOT change anything here without regenerating the v2 half of the
-// corpus — and note that the v1 half can NEVER be regenerated (the writer
-// only emits the current format); v1 files are frozen era artifacts. A
-// change that alters the simulated state at the cut points invalidates
-// them permanently.
+// DO NOT change anything here without regenerating the corpus
+// (tests/golden/README.md), and review the regenerated files like any other
+// format change: a change that alters the simulated state at the cut points
+// changes every golden.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +25,8 @@
 
 namespace sgxpl::golden {
 
-/// Names of the single-enclave golden cases (one snapshot file per name and
-/// era: tests/golden/v1/single-<name>.snap, tests/golden/v2/...).
+/// Names of the single-enclave golden cases (one snapshot file per name:
+/// tests/golden/v2/single-<name>.snap).
 inline std::vector<std::string> single_case_names() {
   return {"baseline", "dfpstop", "hybrid", "chaos"};
 }
@@ -88,7 +87,7 @@ inline std::vector<std::uint8_t> make_single(const std::string& name) {
   return run.save_bytes();
 }
 
-// --- delta-chain case (format v2 only) --------------------------------------
+// --- delta-chain case -----------------------------------------------------
 
 /// Cut points of the chain golden: the dfpstop case checkpointed three
 /// times with full_every = kChainFullEvery, yielding a full base followed

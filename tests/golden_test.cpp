@@ -1,17 +1,13 @@
 // Golden-corpus battery: pins the on-disk snapshot format against silent
 // drift (tests/golden/README.md). SGXPL_GOLDEN_DIR points at the corpus.
 //
-//   - era acceptance: every checked-in file still loads — v1 through the
-//     migration shim, v2 directly — and restores the exact state the
-//     recipe's fresh run holds at the cut point;
-//   - shim fidelity: upgrade(v1 golden) is byte-identical to the
-//     independently captured v2 golden;
+//   - acceptance: every checked-in file still loads and restores the exact
+//     state the recipe's fresh run holds at the cut point, while the same
+//     bytes stamped with another format version are refused;
 //   - writer determinism: a fresh capture of the recipe state equals the
-//     v2 golden byte for byte (two invocations of the writer);
+//     golden byte for byte (two invocations of the writer);
 //   - chain golden: the base+2-delta chain restores bit-identically to the
-//     full-snapshot restore at the final cut;
-//   - the codec-level scheme table (migrate.cpp duplicates it to avoid a
-//     core dependency) matches core's to_string/uses_dfp ground truth.
+//     full-snapshot restore at the final cut.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -21,7 +17,6 @@
 #include "golden_recipe.h"
 #include "snapshot/chain.h"
 #include "snapshot/codec.h"
-#include "snapshot/migrate.h"
 #include "snapshot/snapshotter.h"
 
 using namespace sgxpl;
@@ -38,16 +33,32 @@ std::vector<std::uint8_t> read_golden(const std::string& rel) {
   return snapshot::read_file(path);
 }
 
+/// `frame` with its format version field overwritten.
+std::vector<std::uint8_t> restamped(std::vector<std::uint8_t> frame,
+                                    std::uint8_t version) {
+  frame[snapshot::kMagic.size()] = version;  // version u32 LSB
+  return frame;
+}
+
 class GoldenSingle : public ::testing::TestWithParam<std::string> {};
 
-// --- era acceptance ---------------------------------------------------------
+// --- acceptance -------------------------------------------------------------
 
-TEST_P(GoldenSingle, V1LoadsThroughShimWithIdenticalState) {
+TEST_P(GoldenSingle, LoadsWithIdenticalStateAndRefusesOtherVersions) {
   const std::string name = GetParam();
   const trace::Trace t = golden::single_trace();
   const sip::InstrumentationPlan plan = golden::single_plan();
   core::SimulationRun restored(golden::single_config(name), t, &plan);
-  restored.load_bytes(read_golden("v1/single-" + name + ".snap"));
+  const auto golden = read_golden("v2/single-" + name + ".snap");
+  try {
+    restored.load_bytes(restamped(golden, 1));
+    FAIL() << "a version-1 frame loaded";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported format version 1"),
+              std::string::npos)
+        << e.what();
+  }
+  restored.load_bytes(golden);
   // The restored state must serialize to exactly what a fresh run of the
   // recipe holds at the cut — same cursor, same driver, same engine.
   EXPECT_EQ(restored.save_bytes(), golden::make_single(name));
@@ -65,13 +76,6 @@ TEST_P(GoldenSingle, V2LoadsDirectly) {
   restored.run_to_end();
 }
 
-TEST_P(GoldenSingle, UpgradedV1EqualsV2GoldenByteForByte) {
-  const std::string name = GetParam();
-  EXPECT_EQ(snapshot::upgrade_v1_to_v2(
-                read_golden("v1/single-" + name + ".snap")),
-            read_golden("v2/single-" + name + ".snap"));
-}
-
 TEST_P(GoldenSingle, V2GoldenIsByteStable) {
   // Two independent writer invocations of the same recipe state — here and
   // when the corpus was generated — must agree byte for byte.
@@ -85,19 +89,14 @@ INSTANTIATE_TEST_SUITE_P(Corpus, GoldenSingle,
 
 // --- multi-enclave ----------------------------------------------------------
 
-TEST(GoldenMulti, V1LoadsThroughShimWithIdenticalState) {
+TEST(GoldenMulti, LoadsWithIdenticalState) {
   const trace::Trace a = golden::multi_trace(11);
   const trace::Trace b = golden::multi_trace(12);
   core::MultiEnclaveRun restored(golden::multi_config(),
                                  golden::multi_apps(a, b));
-  restored.load_bytes(read_golden("v1/multi.snap"));
+  restored.load_bytes(read_golden("v2/multi.snap"));
   EXPECT_EQ(restored.save_bytes(), golden::make_multi());
   EXPECT_EQ(restored.steps(), golden::kMultiCut);
-}
-
-TEST(GoldenMulti, UpgradedV1EqualsV2GoldenByteForByte) {
-  EXPECT_EQ(snapshot::upgrade_v1_to_v2(read_golden("v1/multi.snap")),
-            read_golden("v2/multi.snap"));
 }
 
 TEST(GoldenMulti, V2GoldenIsByteStable) {
@@ -114,20 +113,18 @@ TEST(GoldenMulti, V2LoadsAndFinishes) {
   restored.run_to_end();
 }
 
-TEST(GoldenMulti, ExtractionWorksOnUpgradedV1) {
-  // v1 frames have no per-enclave sections; extraction must refuse them
-  // with upgrade guidance, and work on the shim's output.
-  const auto v1 = read_golden("v1/multi.snap");
+TEST(GoldenMulti, ExtractionWorksOnTheGoldenAndRefusesOtherVersions) {
+  const auto golden = read_golden("v2/multi.snap");
   try {
-    snapshot::extract_enclave(v1, 0);
-    FAIL() << "extraction from a v1 frame accepted";
+    snapshot::extract_enclave(restamped(golden, 1), 0);
+    FAIL() << "extraction from a version-1 frame accepted";
   } catch (const CheckFailure& e) {
-    EXPECT_NE(std::string(e.what()).find("upgrade"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("unsupported format version 1"),
+              std::string::npos)
         << e.what();
   }
-  const auto upgraded = snapshot::upgrade_v1_to_v2(v1);
   const snapshot::ExtractedEnclave e =
-      snapshot::read_extracted(snapshot::extract_enclave(upgraded, 0));
+      snapshot::read_extracted(snapshot::extract_enclave(golden, 0));
   EXPECT_EQ(e.index, 0u);
   EXPECT_EQ(e.scheme, "DFP-stop");
   EXPECT_EQ(e.trace, "golden-a");
@@ -177,23 +174,6 @@ TEST(GoldenChain, RestoreChainFromFilesFindsTheDeltas) {
   ASSERT_TRUE(snapshot::restore_chain_from_files(
       run, golden_path("v2/chain-dfpstop.snap")));
   EXPECT_EQ(run.cursor(), golden::kChainCuts[std::size(golden::kChainCuts) - 1]);
-}
-
-// --- codec-level scheme table -----------------------------------------------
-
-TEST(GoldenSchemeTable, MigrateTableMatchesCore) {
-  // migrate.cpp duplicates the scheme-name -> runs-DFP mapping to stay free
-  // of a core dependency; this is the pin that keeps the copies in sync.
-  for (const core::Scheme s :
-       {core::Scheme::kNative, core::Scheme::kBaseline, core::Scheme::kDfp,
-        core::Scheme::kDfpStop, core::Scheme::kSip, core::Scheme::kHybrid}) {
-    core::SimConfig cfg;
-    cfg.scheme = s;
-    EXPECT_EQ(snapshot::scheme_runs_dfp(core::to_string(s)), cfg.uses_dfp())
-        << core::to_string(s);
-  }
-  EXPECT_THROW((void)snapshot::scheme_runs_dfp("no-such-scheme"),
-               CheckFailure);
 }
 
 }  // namespace

@@ -202,6 +202,16 @@ TEST(Salvage, LinkageFaultsClassifyTyped) {
   EXPECT_EQ(headless.fault, ChainFault::kNoBase);
   EXPECT_FALSE(headless.restored_any());
 
+  // A base stamped with a format version this build does not read.
+  Frames stamped = frames;
+  stamped[0][snapshot::kMagic.size()] = 1;  // version u32 LSB
+  ChainRig foreign_rig;
+  const ChainSalvageReport foreign =
+      snapshot::restore_chain_salvage(foreign_rig.run, stamped);
+  EXPECT_EQ(foreign.fault, ChainFault::kCorruptFrame) << foreign.describe();
+  EXPECT_EQ(foreign.byte_offset, snapshot::kMagic.size());
+  EXPECT_EQ(foreign.frames_restored, 0u);
+
   const ChainSalvageReport gap = snapshot::probe_chain({frames[0], frames[2]});
   EXPECT_EQ(gap.fault, ChainFault::kSeqGap);
   EXPECT_EQ(gap.frames_restored, 1u);

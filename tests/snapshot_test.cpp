@@ -266,16 +266,21 @@ TEST(SnapshotCorruption, ReorderedSectionsAreRejectedByStrictReads) {
 }
 
 TEST(SnapshotCorruption, UnknownVersionIsRejectedWithGuidance) {
-  auto frame = sample_frame();
-  frame[snapshot::kMagic.size()] = 9;  // version u32 LSB (currently 1)
-  try {
-    Reader r(frame);
-    FAIL() << "version 9 accepted";
-  } catch (const CheckFailure& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("unsupported format version 9"), std::string::npos)
-        << what;
-    EXPECT_NE(what.find("re-create"), std::string::npos) << what;
+  for (const std::uint8_t version : {std::uint8_t{1}, std::uint8_t{3},
+                                     std::uint8_t{9}}) {
+    auto frame = sample_frame();
+    // version u32 LSB (currently kFormatVersion)
+    frame[snapshot::kMagic.size()] = version;
+    const std::string want =
+        "unsupported format version " + std::to_string(version);
+    try {
+      Reader r(frame);
+      FAIL() << "version " << int{version} << " accepted";
+    } catch (const CheckFailure& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(want), std::string::npos) << what;
+      EXPECT_NE(what.find("re-create"), std::string::npos) << what;
+    }
   }
 }
 
@@ -588,6 +593,30 @@ TEST(ChainCorruption, ForeignDeltaIsRejectedByChainId) {
     EXPECT_NE(std::string(e.what()).find("different checkpoint chain"),
               std::string::npos)
         << e.what();
+  }
+}
+
+TEST(ChainCorruption, ALinkageFaultLeavesTheRunUntouched) {
+  // restore_chain probes the whole chain before it applies any frame, so a
+  // seq gap, a substituted delta or a mixed chain throws with the run still
+  // exactly as it was — not with the base and earlier deltas applied.
+  const FuzzChain a = make_fuzz_chain({40, 60, 80});
+  const FuzzChain b = make_fuzz_chain({40, 64, 84});
+  const FuzzChain c = make_fuzz_chain({44, 62});
+  const trace::Trace t = fuzz_trace();
+  const sip::InstrumentationPlan plan = fuzz_plan();
+  const std::vector<std::vector<std::vector<std::uint8_t>>> broken = {
+      {a.frames[0], a.frames[2]},               // seq gap
+      {a.frames[0], a.frames[1], b.frames[2]},  // substituted delta
+      {a.frames[0], a.frames[1], c.frames[1]},  // mixed chain
+  };
+  for (std::size_t k = 0; k < broken.size(); ++k) {
+    core::SimulationRun run(fuzz_cfg(), t, &plan);
+    for (int i = 0; i < 10; ++i) run.step();
+    const std::vector<std::uint8_t> before = run.save_bytes();
+    EXPECT_THROW(snapshot::restore_chain(run, broken[k]), snapshot::ChainError)
+        << "case " << k;
+    EXPECT_EQ(run.save_bytes(), before) << "case " << k;
   }
 }
 

@@ -83,8 +83,7 @@ TEST(Tool, EverySubcommandRejectsAMissingFileTyped) {
   const std::string ghost = tmp_path("ghost.snap");
   std::remove(ghost.c_str());
   for (const std::string& cmd :
-       {"info " + ghost, "upgrade " + ghost + " " + tmp_path("out.snap"),
-        "extract 0 " + ghost + " " + tmp_path("out.snap"),
+       {"info " + ghost, "extract 0 " + ghost + " " + tmp_path("out.snap"),
         "migrate " + ghost + " 0 " + tmp_path("out.snap"),
         "diff " + ghost + " " + ghost, "verify-chain " + ghost}) {
     expect_typed_failure(run_tool(cmd), cmd);
@@ -94,12 +93,18 @@ TEST(Tool, EverySubcommandRejectsAMissingFileTyped) {
 TEST(Tool, EverySubcommandRejectsGarbageBytesTyped) {
   const std::string junk = tmp_path("junk.snap");
   write_garbage(junk);
-  for (const std::string& cmd :
-       {"info " + junk, "upgrade " + junk + " " + tmp_path("out.snap"),
-        "extract 0 " + junk + " " + tmp_path("out.snap"),
-        "migrate " + junk + " 0 " + tmp_path("out.snap"),
-        "diff " + junk + " " + junk, "verify-chain " + junk}) {
-    expect_typed_failure(run_tool(cmd), cmd);
+  // A real frame stamped with a format version this build does not read.
+  const std::string v1 = tmp_path("v1.snap");
+  std::vector<std::uint8_t> stamped = golden::make_multi();
+  stamped[snapshot::kMagic.size()] = 1;  // version u32 LSB
+  write_bytes(v1, stamped);
+  for (const std::string& bad : {junk, v1}) {
+    for (const std::string& cmd :
+         {"info " + bad, "extract 0 " + bad + " " + tmp_path("out.snap"),
+          "migrate " + bad + " 0 " + tmp_path("out.snap"),
+          "diff " + bad + " " + bad, "verify-chain " + bad}) {
+      expect_typed_failure(run_tool(cmd), cmd);
+    }
   }
 }
 
