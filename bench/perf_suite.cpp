@@ -398,6 +398,43 @@ void cell_shard(TextTable& tbl) {
                    std::to_string(epochs) + " epochs"});
 }
 
+/// Cell H: the cost of running under chaos. The same DFP-stop run of the
+/// microbenchmark (its large ELRANGE is where a per-sweep O(ELRANGE)
+/// watchdog hurts most) with the full driver fault plan on and off. Chaos
+/// turns the online watchdog on, so the cycle domain pins the chaos run's
+/// behaviour and its sweep count; wall.chaos.on_off_ratio is the host-time
+/// price of chaos plus watchdog, the median of 3 paired repetitions.
+void cell_chaos(TextTable& tbl) {
+  const auto t = trace::find_workload("microbenchmark")
+                     ->make(trace::WorkloadParams{.scale = kCellScale,
+                                                  .seed = 42});
+  const core::SimConfig off = cell_platform(core::Scheme::kDfpStop);
+  core::SimConfig on = off;
+  on.chaos = inject::ChaosPlan::all(0x5eed);
+  const auto m = core::simulate(t, on);
+  bench::add_scalar("cycles.chaos.total_cycles",
+                    static_cast<double>(m.total_cycles));
+  bench::add_scalar("cycles.chaos.watchdog_checks",
+                    static_cast<double>(m.driver.watchdog_checks));
+  bench::add_scalar("cycles.chaos.inject_fired",
+                    static_cast<double>(m.inject.total_fired()));
+  std::vector<double> ratios;
+  for (int rep = 0; rep < 3; ++rep) {
+    auto t0 = std::chrono::steady_clock::now();
+    g_sink = core::simulate(t, on).total_cycles;
+    const double on_secs = seconds_since(t0);
+    t0 = std::chrono::steady_clock::now();
+    g_sink = core::simulate(t, off).total_cycles;
+    ratios.push_back(on_secs / seconds_since(t0));
+  }
+  const double ratio = median(ratios);
+  bench::add_scalar("wall.chaos.on_off_ratio", ratio);
+  tbl.add_row({"chaos on/off (microbenchmark)",
+               TextTable::fmt(ratio, 2) + "x wall",
+               std::to_string(m.driver.watchdog_checks) + " sweeps, " +
+                   std::to_string(m.inject.total_fired()) + " faults fired"});
+}
+
 /// Cell D: hot-loop building blocks, wall-clock only (their cycle-domain
 /// behaviour is covered by the cells above).
 void cell_micro_ops(TextTable& tbl) {
@@ -464,6 +501,7 @@ int main(int argc, char** argv) {
   cell_elastic(tbl);
   cell_soak(tbl);
   cell_shard(tbl);
+  cell_chaos(tbl);
   cell_micro_ops(tbl);
   bench::print_table("cells", tbl);
 

@@ -13,13 +13,13 @@ PresenceBitmap::PresenceBitmap(PageNum pages)
   SGXPL_CHECK(pages > 0);
 }
 
-std::uint64_t PresenceBitmap::popcount() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto w : words_) {
-    n += static_cast<std::uint64_t>(std::popcount(w));
-  }
-  return n;
+namespace {
+
+std::uint64_t bits(std::uint64_t word) noexcept {
+  return static_cast<std::uint64_t>(std::popcount(word));
 }
+
+}  // namespace
 
 void PresenceBitmap::save(snapshot::Writer& w) const {
   w.u64("bitmap.pages", pages_);
@@ -35,6 +35,8 @@ void PresenceBitmap::load(snapshot::Reader& r) {
   SGXPL_CHECK_MSG(words.size() == words_.size(),
                   "snapshot bitmap word count does not match");
   words_ = std::move(words);
+  count_ = 0;
+  for (const std::uint64_t word : words_) count_ += bits(word);
   // Whole-bitmap load: treat every word as dirty until the next
   // clear_dirty() so a stale delta baseline cannot under-report changes.
   ++gen_;
@@ -66,6 +68,7 @@ void PresenceBitmap::apply_delta(snapshot::Reader& r) {
                   "snapshot bitmap delta holds " << values.size()
                       << " words for " << ids.size() << " indices");
   for (std::size_t i = 0; i < ids.size(); ++i) {
+    count_ = count_ - bits(words_[ids[i]]) + bits(values[i]);
     words_[ids[i]] = values[i];
     mark_dirty(ids[i]);
   }

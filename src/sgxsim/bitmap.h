@@ -31,6 +31,7 @@ class PresenceBitmap {
     const std::uint64_t bit = 1ull << (page & 63);
     if ((words_[page >> 6] & bit) == 0) {
       words_[page >> 6] |= bit;
+      ++count_;
       mark_dirty(page >> 6);
     }
   }
@@ -40,12 +41,15 @@ class PresenceBitmap {
     const std::uint64_t bit = 1ull << (page & 63);
     if ((words_[page >> 6] & bit) != 0) {
       words_[page >> 6] &= ~bit;
+      --count_;
       mark_dirty(page >> 6);
     }
   }
 
   /// Number of set bits (for invariant checks against the page table).
-  std::uint64_t popcount() const noexcept;
+  /// O(1): a counter that set/clear move only on real bit transitions and
+  /// load/apply_delta recount.
+  std::uint64_t popcount() const noexcept { return count_; }
 
   /// Checkpoint/restore. load() requires a bitmap constructed for the same
   /// number of pages as the one saved.
@@ -70,6 +74,7 @@ class PresenceBitmap {
 
   PageNum pages_;
   std::vector<std::uint64_t> words_;
+  std::uint64_t count_ = 0;
   std::uint64_t gen_ = 0;
   std::vector<std::uint64_t> dirty_list_;
   std::vector<bool> dirty_flag_;

@@ -554,7 +554,11 @@ void Driver::watchdog_tick(Cycles now) {
       scans_since_watchdog_ < config_.watchdog_scan_interval) {
     return;
   }
-  check_invariants();
+  if (full_sweep_due()) {
+    full_sweep();
+  } else {
+    incremental_sweep();
+  }
   ++stats_.watchdog_checks;
   if (log_ != nullptr) {
     log_->record({.at = now, .type = EventType::kWatchdog,
@@ -913,6 +917,7 @@ void Driver::set_elastic_geometry(
   }
   elastic_.finalize();
   elastic_engaged_ = true;
+  wd_resident_.assign(elastic_.tenant_count(), 0);
 }
 
 void Driver::elastic_rebalance(Cycles now) {
@@ -1042,6 +1047,7 @@ void Driver::commit_load(const ChannelOp& op) {
   if (elastic_engaged_) {
     elastic_.note_mapped(op.page);
   }
+  note_residency(op.page, /*mapped=*/true);
   if (log_ != nullptr) {
     log_->record({.at = op.end, .type = EventType::kLoadCommitted,
                   .page = op.page, .detail = to_string(op.kind)});
@@ -1102,6 +1108,7 @@ void Driver::evict_page(PageNum victim) {
   if (elastic_engaged_) {
     elastic_.note_unmapped(victim);
   }
+  note_residency(victim, /*mapped=*/false);
   ++stats_.evictions;
   if (log_ != nullptr) {
     log_->record({.at = bookkept_until_, .type = EventType::kEviction,
@@ -1116,37 +1123,92 @@ void Driver::evict_page(PageNum victim) {
   }
 }
 
+std::string Driver::describe_page(PageNum p) const {
+  const auto& e = page_table_.entry(p);
+  std::ostringstream os;
+  os << "page " << p;
+  if (e.present) {
+    os << " is mapped to slot " << e.slot;
+    if (e.slot < epc_.capacity()) {
+      os << ", which holds page " << epc_.page_at(e.slot);
+    }
+  } else {
+    os << " is not mapped";
+  }
+  os << "; its bitmap bit is " << (bitmap_.test(p) ? "set" : "clear");
+  return os.str();
+}
+
+void Driver::check_tenants(const std::vector<PageNum>& resident) const {
+  for (std::size_t t = 0; t < resident.size(); ++t) {
+    SGXPL_CHECK_MSG(resident[t] == elastic_.resident(t),
+                    "elastic resident count for tenant "
+                        << t << " is " << elastic_.resident(t)
+                        << " but the page table holds " << resident[t]);
+  }
+  elastic_.check_conservation();
+}
+
 void Driver::check_invariants() const {
   SGXPL_CHECK(page_table_.resident_count() == epc_.used());
   SGXPL_CHECK(bitmap_.popcount() == epc_.used());
   std::uint64_t present = 0;
   std::vector<PageNum> resident_by_tenant(
       elastic_engaged_ ? elastic_.tenant_count() : 0, 0);
+  std::size_t t = 0;  // tenant cursor: the slices tile the ELRANGE in order
   for (PageNum p = 0; p < config_.elrange_pages; ++p) {
-    const auto& e = page_table_.entry(p);
-    if (e.present) {
+    SGXPL_CHECK_MSG(page_consistent(p), describe_page(p));
+    if (page_table_.entry(p).present) {
       ++present;
-      SGXPL_CHECK(e.slot != kInvalidSlot);
-      SGXPL_CHECK_MSG(epc_.page_at(e.slot) == p,
-                      "slot " << e.slot << " does not hold page " << p);
-      SGXPL_CHECK(bitmap_.test(p));
       if (elastic_engaged_) {
-        ++resident_by_tenant[elastic_.owner(p)];
+        while (p >= elastic_.hi(t)) {
+          ++t;
+          SGXPL_CHECK_MSG(t < resident_by_tenant.size(),
+                          "page " << p
+                                  << " outside every elastic tenant range");
+        }
+        ++resident_by_tenant[t];
       }
-    } else {
-      SGXPL_CHECK(!bitmap_.test(p));
     }
   }
   SGXPL_CHECK(present == epc_.used());
   if (elastic_engaged_) {
-    for (std::size_t t = 0; t < resident_by_tenant.size(); ++t) {
-      SGXPL_CHECK_MSG(resident_by_tenant[t] == elastic_.resident(t),
-                      "elastic resident count for tenant "
-                          << t << " is " << elastic_.resident(t)
-                          << " but the page table holds "
-                          << resident_by_tenant[t]);
+    check_tenants(resident_by_tenant);
+  }
+}
+
+bool Driver::full_sweep_due() const noexcept {
+  // The cadence keys off stats_.scans, not scans_since_watchdog_: under
+  // constant chaos every sweep resets the latter, so it never reaches the
+  // interval. Without chaos each sweep lands in a new window, so all are full.
+  return stats_.scans / config_.watchdog_scan_interval != wd_full_window_ ||
+         wd_changes_.size() >= config_.elrange_pages;
+}
+
+void Driver::full_sweep() {
+  check_invariants();
+  wd_changes_.clear();
+  for (std::size_t t = 0; t < wd_resident_.size(); ++t) {
+    wd_resident_[t] = elastic_.resident(t);
+  }
+  if (config_.watchdog_scan_interval != 0) {
+    wd_full_window_ = stats_.scans / config_.watchdog_scan_interval;
+  }
+}
+
+void Driver::incremental_sweep() {
+  SGXPL_CHECK(page_table_.resident_count() == epc_.used());
+  SGXPL_CHECK(bitmap_.popcount() == epc_.used());
+  for (const ResidencyChange& c : wd_changes_) {
+    SGXPL_CHECK_MSG(page_consistent(c.page), describe_page(c.page));
+    if (elastic_engaged_) {
+      PageNum& n = wd_resident_[elastic_.owner(c.page)];
+      n = c.mapped ? n + 1 : n - 1;
     }
-    elastic_.check_conservation();
+  }
+  wd_changes_.clear();
+  if (elastic_engaged_) {
+    check_tenants(wd_resident_);
   }
 }
 
@@ -1368,7 +1430,7 @@ void Driver::load_sections(snapshot::Reader& r) {
   r.enter_section("BSTR");
   backing_.load(r);
   r.leave_section();
-  check_invariants();
+  full_sweep();
 }
 
 void Driver::save_delta_sections(snapshot::Writer& w,
@@ -1423,7 +1485,7 @@ void Driver::apply_delta_sections(snapshot::Reader& r) {
     }
     r.leave_section();
   }
-  check_invariants();
+  full_sweep();
 }
 
 snapshot::SectionGens Driver::section_gens() const {

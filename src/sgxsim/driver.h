@@ -72,9 +72,17 @@ struct EnclaveConfig {
   DemandPolicy demand_policy = DemandPolicy::kPreempt;
   /// EPC reclaim policy (the Intel driver uses a CLOCK-like sweep).
   EvictionKind eviction = EvictionKind::kClock;
-  /// Online watchdog: run check_invariants() every N service-thread scans
-  /// and at every chaos-injection boundary (0 = off). Each sweep is
-  /// O(ELRANGE); meant for chaos runs and tests, not performance runs.
+  /// Online watchdog: sweep the invariants every N service-thread scans
+  /// and at every chaos-injection boundary (0 = off). Most sweeps are
+  /// incremental, O(pages loaded or evicted since the last sweep +
+  /// tenants): the O(1) global counts, then check_invariants()'s per-page
+  /// checks on just those pages. The first sweep at or after each multiple
+  /// of N scans (DriverStats::scans) is a full, O(ELRANGE)
+  /// check_invariants(). Detection contract: a corrupted entry of a page
+  /// loaded or evicted since the last sweep trips the next sweep, and so
+  /// does any corruption that moves a count; anything else trips the next
+  /// full sweep, at most about 2N scans later, or the end-of-run check.
+  /// See docs/ROBUSTNESS.md, "The watchdog".
   std::uint64_t watchdog_scan_interval = 0;
   /// Overload hardening: queue bound, op deadlines, lost-completion retry.
   /// Defaults (unbounded, retries off) reproduce the seed behavior.
@@ -206,8 +214,12 @@ class Driver {
   const CostModel& costs() const noexcept { return costs_; }
 
   /// Invariant: page table residency, EPC occupancy, and bitmap population
-  /// all agree. Throws CheckFailure on violation; used by tests and by the
-  /// online watchdog (EnclaveConfig::watchdog_scan_interval).
+  /// all agree. Throws CheckFailure on violation. A full O(ELRANGE) walk:
+  /// it catches a corrupted entry of any page, which the online watchdog's
+  /// incremental sweeps catch only for pages loaded or evicted since the
+  /// previous sweep (EnclaveConfig::watchdog_scan_interval gives the
+  /// contract). Used by tests, by end-of-run validation, after every
+  /// restore, and by the watchdog's periodic full sweep.
   void check_invariants() const;
 
   /// Lost-completion entries awaiting the retry sweep (hardened mode only;
@@ -329,6 +341,9 @@ class Driver {
   }
 
  private:
+  /// Test-only access (tests/ defines it) for corrupting state mid-run.
+  friend struct DriverTestPeer;
+
   /// Duration of one load: ELDU + EWB share when the EPC will be full +
   /// the preload worker's dispatch overhead for asynchronous preloads,
   /// perturbed by the chaos hooks when attached (`at` is the scheduling
@@ -339,10 +354,42 @@ class Driver {
   /// injector is squeezing it (clamped to [1, capacity]).
   PageNum effective_capacity(Cycles now) const;
 
-  /// Watchdog bookkeeping, called once per service-thread scan: runs
-  /// check_invariants() every watchdog_scan_interval scans, or immediately
-  /// when a chaos hook fired since the last sweep (injection boundary).
+  /// Watchdog bookkeeping, called once per service-thread scan: sweeps
+  /// every watchdog_scan_interval scans, or immediately when a chaos hook
+  /// fired since the last sweep (injection boundary). The sweep is full
+  /// when full_sweep_due(), incremental otherwise.
   void watchdog_tick(Cycles now);
+  /// Is the next sweep full: the first in its interval-aligned window of
+  /// stats_.scans, or a change log that outgrew the ELRANGE?
+  bool full_sweep_due() const noexcept;
+  /// check_invariants(), then re-prime the incremental state: empty change
+  /// log, per-tenant counts taken from the (just verified) controller.
+  void full_sweep();
+  /// The O(changes) sweep: global counts, the logged pages, per-tenant
+  /// counts and elastic conservation.
+  void incremental_sweep();
+  /// check_invariants()'s per-page check: a mapped page sits in a slot
+  /// that holds it and has its bitmap bit set; an unmapped one has it
+  /// clear. Inline, since the full sweep runs it for every page.
+  bool page_consistent(PageNum p) const {
+    const PageTableEntry& e = page_table_.entry(p);
+    if (!e.present) {
+      return !bitmap_.test(p);
+    }
+    return e.slot != kInvalidSlot && epc_.page_at(e.slot) == p &&
+           bitmap_.test(p);
+  }
+  /// The failure message for a page that is not page_consistent().
+  std::string describe_page(PageNum p) const;
+  /// Per-tenant resident counts against the elastic controller, then its
+  /// conservation check.
+  void check_tenants(const std::vector<PageNum>& resident) const;
+  /// Log a residency change for the watchdog (a no-op with it off).
+  void note_residency(PageNum page, bool mapped) {
+    if (config_.watchdog_scan_interval != 0) {
+      wd_changes_.push_back({page, mapped});
+    }
+  }
 
   /// Schedule a load of `page` on the channel no earlier than `earliest`.
   const ChannelOp& schedule_load(PageNum page, Cycles earliest, OpKind kind,
@@ -433,6 +480,19 @@ class Driver {
   /// A chaos hook fired since the last watchdog sweep (injection-boundary
   /// sweeps run at the next bookkeeping point, not mid-operation).
   bool chaos_dirty_ = false;
+  /// Watchdog change log: every load commit and eviction since the last
+  /// sweep. Transient like the drain flags (never serialized); a restore
+  /// runs a full sweep, which re-primes it.
+  struct ResidencyChange {
+    PageNum page = kInvalidPage;
+    bool mapped = false;
+  };
+  std::vector<ResidencyChange> wd_changes_;
+  /// Per-tenant resident counts the watchdog keeps from the change log
+  /// (elastic only), checked against the controller's own counts.
+  std::vector<PageNum> wd_resident_;
+  /// stats_.scans / watchdog_scan_interval at the last full sweep.
+  std::uint64_t wd_full_window_ = 0;
   /// Sharded-fleet control knobs (see set_capacity_limit /
   /// set_channel_slowdown_milli). Transient operational state, like the
   /// drain flags: never serialized.

@@ -15,16 +15,40 @@ namespace sgxpl::snapshot {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc32c_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: t[0] is the bytewise table; t[k][i] is the CRC
+/// of byte i followed by k zero bytes, so eight table lookups consume eight
+/// input bytes at once.
+using Crc32cTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+Crc32cTables make_crc32c_tables() {
+  Crc32cTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc & 1u) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
     }
-    table[i] = crc;
+    t[0][i] = crc;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+std::uint32_t load_le32(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+/// Store the low `n` bytes of `v` at `at`, least significant first.
+void store_le(std::uint8_t* at, std::uint64_t v, int n) noexcept {
+  for (int i = 0; i < n; ++i) {
+    at[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
 }
 
 std::string quoted(std::string_view s) {
@@ -37,10 +61,18 @@ std::string quoted(std::string_view s) {
 }  // namespace
 
 std::uint32_t crc32c(const std::uint8_t* data, std::size_t len) noexcept {
-  static const std::array<std::uint32_t, 256> table = make_crc32c_table();
+  static const Crc32cTables t = make_crc32c_tables();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  for (; len >= 8; data += 8, len -= 8) {
+    const std::uint32_t lo = crc ^ load_le32(data);
+    const std::uint32_t hi = load_le32(data + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^
+          t[0][hi >> 24];
+  }
+  for (; len > 0; ++data, --len) {
+    crc = t[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -65,35 +97,24 @@ const char* to_string(FieldType t) noexcept {
 // Writer
 // ---------------------------------------------------------------------------
 
-void Writer::put_u16(std::uint16_t v) {
-  put_u8(static_cast<std::uint8_t>(v & 0xFFu));
-  put_u8(static_cast<std::uint8_t>((v >> 8) & 0xFFu));
+std::uint8_t* Writer::grow(std::size_t n) {
+  const std::size_t at = bytes_.size();
+  bytes_.resize(at + n);
+  return bytes_.data() + at;
 }
 
-void Writer::put_u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    put_u8(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
-  }
-}
+void Writer::put_u16(std::uint16_t v) { store_le(grow(2), v, 2); }
 
-void Writer::put_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    put_u8(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
-  }
-}
+void Writer::put_u32(std::uint32_t v) { store_le(grow(4), v, 4); }
+
+void Writer::put_u64(std::uint64_t v) { store_le(grow(8), v, 8); }
 
 void Writer::patch_u32(std::size_t at, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    bytes_[at + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu);
-  }
+  store_le(bytes_.data() + at, v, 4);
 }
 
 void Writer::patch_u64(std::size_t at, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    bytes_[at + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu);
-  }
+  store_le(bytes_.data() + at, v, 8);
 }
 
 void Writer::begin_section(std::string_view tag) {
@@ -172,7 +193,11 @@ void Writer::u64_vec(std::string_view label,
                      const std::vector<std::uint64_t>& v) {
   field_header(FieldType::kU64Vec, label);
   put_u64(static_cast<std::uint64_t>(v.size()));
-  for (std::uint64_t x : v) put_u64(x);
+  std::uint8_t* out = grow(8 * v.size());
+  for (const std::uint64_t x : v) {
+    store_le(out, x, 8);
+    out += 8;
+  }
 }
 
 void Writer::field(const FieldView& f) {

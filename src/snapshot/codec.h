@@ -36,7 +36,8 @@ namespace sgxpl::snapshot {
 inline constexpr std::uint32_t kFormatVersion = 2;
 inline constexpr std::string_view kMagic = "SGXPLSNP";
 
-/// CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected), software table.
+/// CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected), portable
+/// slicing-by-8 software tables.
 std::uint32_t crc32c(const std::uint8_t* data, std::size_t len) noexcept;
 
 enum class FieldType : std::uint8_t {
@@ -76,6 +77,9 @@ class Writer {
  private:
   void field_header(FieldType type, std::string_view label);
   void put_bytes(std::string_view s);
+  /// Append `n` zero bytes and return where they start (the integer
+  /// writers fill them in little-endian order).
+  std::uint8_t* grow(std::size_t n);
   void put_u8(std::uint8_t v) { bytes_.push_back(v); }
   void put_u16(std::uint16_t v);
   void put_u32(std::uint32_t v);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "snapshot/codec.h"
 
 namespace sgxpl::sgxsim {
 namespace {
@@ -52,6 +53,39 @@ TEST(PresenceBitmap, WordBoundarySizes) {
     }
     EXPECT_EQ(bm.popcount(), n) << "size " << n;
   }
+}
+
+TEST(PresenceBitmap, RestoresRecountThePopulation) {
+  // popcount() is a counter; a whole load and a delta replay must leave it
+  // equal to the bits they wrote.
+  PresenceBitmap src(200);
+  for (const PageNum p : {3u, 64u, 65u, 190u}) src.set(p);
+  snapshot::Writer full;
+  full.begin_section("BMAP");
+  src.save(full);
+  full.end_section();
+  src.clear_dirty();
+  src.clear(64);
+  src.set(7);
+  src.set(8);
+  snapshot::Writer delta;
+  delta.begin_section("BMPD");
+  src.save_delta(delta);
+  delta.end_section();
+
+  PresenceBitmap dst(200);
+  dst.set(100);  // overwritten by the load
+  const auto full_bytes = full.finish();
+  snapshot::Reader r(full_bytes);
+  r.enter_section("BMAP");
+  dst.load(r);
+  EXPECT_EQ(dst.popcount(), 4u);
+  const auto delta_bytes = delta.finish();
+  snapshot::Reader rd(delta_bytes);
+  rd.enter_section("BMPD");
+  dst.apply_delta(rd);
+  EXPECT_EQ(dst.popcount(), src.popcount());
+  EXPECT_EQ(dst.popcount(), 5u);
 }
 
 TEST(PresenceBitmap, RejectsZeroPages) {

@@ -72,6 +72,39 @@ TEST(SnapshotCodec, Crc32cMatchesTheCastagnoliCheckVector) {
   EXPECT_EQ(snapshot::crc32c(nullptr, 0), 0u);
 }
 
+/// The bytewise table CRC32C the codec used before slicing-by-8; kept here
+/// only as the equivalence oracle.
+std::uint32_t crc32c_bytewise(const std::uint8_t* data, std::size_t len) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+    }
+    table[i] = crc;
+  }
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(SnapshotCodec, Crc32cEqualsTheBytewiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0..257 cover every tail length around the 8-byte blocks;
+  // offsets 0..7 cover every alignment of the block loads.
+  Rng rng(0xC5C32);
+  std::vector<std::uint8_t> buf(257 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 257; ++len) {
+      const std::uint8_t* p = buf.data() + offset;
+      ASSERT_EQ(snapshot::crc32c(p, len), crc32c_bytewise(p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
 TEST(SnapshotCodec, RoundTripsEveryFieldType) {
   const auto frame = sample_frame();
   Reader r(frame);
