@@ -26,9 +26,7 @@ WorkloadComparison compare_schemes(const trace::Workload& workload,
   // Compile the SIP plan once if any requested scheme uses it.
   bool needs_sip = false;
   for (const Scheme s : schemes) {
-    SimConfig probe = base_cfg;
-    probe.scheme = s;
-    needs_sip = needs_sip || probe.uses_sip();
+    needs_sip = needs_sip || uses_sip(s);
   }
   sip::InstrumentationPlan plan;
   if (needs_sip && workload.info.sip_supported) {
@@ -82,9 +80,7 @@ std::vector<ReplicatedResult> compare_schemes_replicated(
   // only the measurement input varies across replicas.
   bool needs_sip = false;
   for (const Scheme s : schemes) {
-    SimConfig probe = base_cfg;
-    probe.scheme = s;
-    needs_sip = needs_sip || probe.uses_sip();
+    needs_sip = needs_sip || uses_sip(s);
   }
   sip::InstrumentationPlan plan;
   if (needs_sip && w->info.sip_supported) {

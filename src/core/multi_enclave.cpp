@@ -128,19 +128,18 @@ struct MultiEnclaveRun::Impl {
     std::vector<PerEnclavePolicy::Slot> slots;
     slots.reserve(apps.size());
     for (std::size_t i = 0; i < apps.size(); ++i) {
-      SimConfig probe = cfg;
-      probe.scheme = apps[i].scheme;
+      const Scheme scheme = apps[i].scheme;
       PerEnclavePolicy::Slot slot;
       slot.lo = offset[i];
       slot.hi = offset[i] + apps[i].trace->elrange_pages();
-      if (probe.uses_dfp()) {
+      if (uses_dfp(scheme)) {
         dfp::DfpParams params = cfg.dfp;
-        if (probe.dfp_stop_forced()) {
+        if (dfp_stop_forced(scheme)) {
           params.stop_enabled = true;
         }
         slot.engine = std::make_unique<dfp::DfpEngine>(params);
       }
-      if (probe.uses_sip()) {
+      if (uses_sip(scheme)) {
         SGXPL_CHECK_MSG(apps[i].plan != nullptr,
                         "SIP scheme needs a plan (enclave " << i << ")");
       }
@@ -355,9 +354,7 @@ void MultiEnclaveRun::step() {
   st.metrics.compute_cycles += a.gap;
   ++st.metrics.accesses;
 
-  SimConfig probe = im.cfg;
-  probe.scheme = app.scheme;
-  if (probe.uses_sip() && app.plan->instrumented(a.site)) {
+  if (uses_sip(app.scheme) && app.plan->instrumented(a.site)) {
     st.now += im.cfg.costs.bitmap_check;
     st.metrics.sip_check_cycles += im.cfg.costs.bitmap_check;
     ++st.metrics.sip_checks;

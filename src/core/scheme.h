@@ -27,6 +27,18 @@ enum class Scheme {
 
 const char* to_string(Scheme s) noexcept;
 
+/// Whether a scheme runs a DFP engine, and with the stop valve.
+constexpr bool uses_dfp(Scheme s) noexcept {
+  return s == Scheme::kDfp || s == Scheme::kDfpStop || s == Scheme::kHybrid;
+}
+constexpr bool dfp_stop_forced(Scheme s) noexcept {
+  return s == Scheme::kDfpStop || s == Scheme::kHybrid;
+}
+/// Whether a scheme runs SIP notifications.
+constexpr bool uses_sip(Scheme s) noexcept {
+  return s == Scheme::kSip || s == Scheme::kHybrid;
+}
+
 /// Crash-consistent checkpointing (docs/ROBUSTNESS.md, "Checkpoint &
 /// recovery"). Snapshots are aligned to trace-access boundaries and written
 /// atomically (temp file + rename), so a kill at any wall-clock instant
@@ -89,17 +101,11 @@ struct SimConfig {
   obs::EventLog* event_log = nullptr;
   obs::Profiler* profiler = nullptr;
 
-  /// Whether this scheme runs a DFP engine, and with the stop valve.
-  bool uses_dfp() const noexcept {
-    return scheme == Scheme::kDfp || scheme == Scheme::kDfpStop ||
-           scheme == Scheme::kHybrid;
-  }
+  bool uses_dfp() const noexcept { return core::uses_dfp(scheme); }
   bool dfp_stop_forced() const noexcept {
-    return scheme == Scheme::kDfpStop || scheme == Scheme::kHybrid;
+    return core::dfp_stop_forced(scheme);
   }
-  bool uses_sip() const noexcept {
-    return scheme == Scheme::kSip || scheme == Scheme::kHybrid;
-  }
+  bool uses_sip() const noexcept { return core::uses_sip(scheme); }
 
   std::string describe() const;
 };

@@ -1,98 +1,130 @@
 #include "sgxsim/backing_store.h"
 
 #include <algorithm>
+#include <string_view>
 
-#include "common/check.h"
 #include "snapshot/codec.h"
 
 namespace sgxpl::sgxsim {
 
+namespace {
+
+/// The version slots of one BSTR/BSTD section: parallel page and version
+/// lists, pages strictly ascending and inside the ELRANGE, no version 0.
+struct VersionLists {
+  std::vector<std::uint64_t> pages;
+  std::vector<std::uint64_t> versions;
+};
+
+VersionLists read_version_lists(snapshot::Reader& r,
+                                std::string_view pages_label,
+                                std::string_view versions_label,
+                                PageNum elrange_pages, const char* what) {
+  VersionLists out{r.u64_vec(pages_label), r.u64_vec(versions_label)};
+  SGXPL_CHECK_MSG(out.pages.size() == out.versions.size(),
+                  "snapshot " << what << " page/version lists are misaligned");
+  for (std::size_t i = 0; i < out.pages.size(); ++i) {
+    const std::uint64_t page = out.pages[i];
+    SGXPL_CHECK_MSG(page < elrange_pages,
+                    "snapshot " << what << " page " << page
+                        << " lies outside the " << elrange_pages
+                        << "-page ELRANGE");
+    SGXPL_CHECK_MSG(i == 0 || page > out.pages[i - 1],
+                    "snapshot " << what << " pages are not sorted and "
+                        "unique at page " << page);
+    SGXPL_CHECK_MSG(out.versions[i] > 0,
+                    "snapshot " << what << " holds version 0 for page "
+                        << page);
+  }
+  return out;
+}
+
+}  // namespace
+
+BackingStore::BackingStore(PageNum elrange_pages)
+    : versions_(elrange_pages, 0), dirty_flag_(elrange_pages, false) {
+  SGXPL_CHECK_MSG(elrange_pages > 0, "ELRANGE must contain at least one page");
+}
+
+void BackingStore::mark_dirty(PageNum page) {
+  if (!dirty_flag_[page]) {
+    dirty_flag_[page] = true;
+    dirty_list_.push_back(page);
+  }
+}
+
 std::uint64_t BackingStore::evict(PageNum page) {
-  auto& slot = slots_[page];
-  ++slot.version;
+  SGXPL_DCHECK(page < versions_.size());
+  const std::uint64_t version = ++versions_[page];
   ++total_evictions_;
   ++gen_;
-  dirty_.insert(page);
-  return slot.version;
-}
-
-std::uint64_t BackingStore::load(PageNum page) const {
-  ++total_loads_;
-  ++gen_;  // total_loads_ is serialized state, so a load changes the frame
-  const auto it = slots_.find(page);
-  return it == slots_.end() ? 0 : it->second.version;
-}
-
-std::uint64_t BackingStore::eviction_count(PageNum page) const {
-  const auto it = slots_.find(page);
-  return it == slots_.end() ? 0 : it->second.version;
+  mark_dirty(page);
+  return version;
 }
 
 void BackingStore::save(snapshot::Writer& w) const {
   w.u64("backing.total_evictions", total_evictions_);
   w.u64("backing.total_loads", total_loads_);
   std::vector<std::uint64_t> pages;
-  pages.reserve(slots_.size());
-  for (const auto& [page, slot] : slots_) pages.push_back(page);
-  std::sort(pages.begin(), pages.end());
   std::vector<std::uint64_t> versions;
-  versions.reserve(pages.size());
-  for (std::uint64_t page : pages) versions.push_back(slots_.at(page).version);
+  for (PageNum page = 0; page < versions_.size(); ++page) {
+    if (versions_[page] > 0) {
+      pages.push_back(page);
+      versions.push_back(versions_[page]);
+    }
+  }
   w.u64_vec("backing.pages", pages);
   w.u64_vec("backing.versions", versions);
 }
 
 void BackingStore::load(snapshot::Reader& r) {
-  total_evictions_ = r.u64("backing.total_evictions");
-  total_loads_ = r.u64("backing.total_loads");
-  const std::vector<std::uint64_t> pages = r.u64_vec("backing.pages");
-  const std::vector<std::uint64_t> versions = r.u64_vec("backing.versions");
-  SGXPL_CHECK_MSG(pages.size() == versions.size(),
-                  "snapshot backing store page/version lists are misaligned");
-  slots_.clear();
-  slots_.reserve(pages.size());
-  for (std::size_t i = 0; i < pages.size(); ++i) {
-    slots_[pages[i]].version = versions[i];
-  }
+  const std::uint64_t total_evictions = r.u64("backing.total_evictions");
+  const std::uint64_t total_loads = r.u64("backing.total_loads");
+  const VersionLists lists =
+      read_version_lists(r, "backing.pages", "backing.versions",
+                         versions_.size(), "backing store");
+  total_evictions_ = total_evictions;
+  total_loads_ = total_loads;
+  versions_.assign(versions_.size(), 0);
   // Whole-store load: every populated slot is dirty until clear_dirty().
+  clear_dirty();
+  for (std::size_t i = 0; i < lists.pages.size(); ++i) {
+    versions_[lists.pages[i]] = lists.versions[i];
+    mark_dirty(lists.pages[i]);
+  }
   ++gen_;
-  dirty_.clear();
-  for (const auto& [page, slot] : slots_) dirty_.insert(page);
 }
 
 void BackingStore::save_delta(snapshot::Writer& w) const {
   w.u64("backing.total_evictions", total_evictions_);
   w.u64("backing.total_loads", total_loads_);
-  std::vector<std::uint64_t> pages(dirty_.begin(), dirty_.end());
+  std::vector<std::uint64_t> pages = dirty_list_;
   std::sort(pages.begin(), pages.end());
   std::vector<std::uint64_t> versions;
   versions.reserve(pages.size());
-  for (std::uint64_t page : pages) versions.push_back(slots_.at(page).version);
+  for (const std::uint64_t page : pages) versions.push_back(versions_[page]);
   w.u64_vec("backing.delta_pages", pages);
   w.u64_vec("backing.delta_versions", versions);
 }
 
 void BackingStore::apply_delta(snapshot::Reader& r) {
-  total_evictions_ = r.u64("backing.total_evictions");
-  total_loads_ = r.u64("backing.total_loads");
-  const std::vector<std::uint64_t> pages = r.u64_vec("backing.delta_pages");
-  const std::vector<std::uint64_t> versions =
-      r.u64_vec("backing.delta_versions");
-  SGXPL_CHECK_MSG(pages.size() == versions.size(),
-                  "snapshot backing-store delta page/version lists are "
-                  "misaligned");
-  for (std::size_t i = 0; i < pages.size(); ++i) {
-    SGXPL_CHECK_MSG(i == 0 || pages[i] > pages[i - 1],
-                    "snapshot backing-store delta pages are not sorted");
-    SGXPL_CHECK_MSG(versions[i] > 0,
-                    "snapshot backing-store delta holds version 0 for page "
-                        << pages[i]);
-    slots_[pages[i]].version = versions[i];
-    dirty_.insert(pages[i]);
+  const std::uint64_t total_evictions = r.u64("backing.total_evictions");
+  const std::uint64_t total_loads = r.u64("backing.total_loads");
+  const VersionLists lists =
+      read_version_lists(r, "backing.delta_pages", "backing.delta_versions",
+                         versions_.size(), "backing-store delta");
+  total_evictions_ = total_evictions;
+  total_loads_ = total_loads;
+  for (std::size_t i = 0; i < lists.pages.size(); ++i) {
+    versions_[lists.pages[i]] = lists.versions[i];
+    mark_dirty(lists.pages[i]);
   }
   ++gen_;
 }
 
-void BackingStore::clear_dirty() { dirty_.clear(); }
+void BackingStore::clear_dirty() {
+  for (const std::uint64_t page : dirty_list_) dirty_flag_[page] = false;
+  dirty_list_.clear();
+}
 
 }  // namespace sgxpl::sgxsim

@@ -5,12 +5,15 @@
 // ELDU/ELDB verify that counter on the way back in. We model the counter
 // explicitly so tests can assert the freshness property: every load observes
 // exactly the version produced by the most recent eviction of that page.
+//
+// Like the VA slots it models, the store holds one plain counter per ELRANGE
+// page, so EWB and ELDU are a single array access.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
+#include "common/check.h"
 #include "common/types.h"
 #include "snapshot/fwd.h"
 
@@ -18,41 +21,54 @@ namespace sgxpl::sgxsim {
 
 class BackingStore {
  public:
+  explicit BackingStore(PageNum elrange_pages);
+
   /// EWB: write the page out, bumping its version. Returns the new version.
   std::uint64_t evict(PageNum page);
 
   /// ELDU/ELDB: read the page back. Returns the version that must match the
   /// VA slot (0 for a page never evicted, i.e. first touch after EADD).
-  std::uint64_t load(PageNum page) const;
+  std::uint64_t load(PageNum page) const {
+    ++total_loads_;
+    ++gen_;  // total_loads_ is serialized state, so a load changes the frame
+    return eviction_count(page);
+  }
 
   /// Number of EWB executions for `page`.
-  std::uint64_t eviction_count(PageNum page) const;
+  std::uint64_t eviction_count(PageNum page) const {
+    SGXPL_DCHECK(page < versions_.size());
+    return versions_[page];
+  }
 
   std::uint64_t total_evictions() const noexcept { return total_evictions_; }
   std::uint64_t total_loads() const noexcept { return total_loads_; }
 
-  /// Checkpoint/restore. Version slots are serialized sorted by page number
-  /// so identical states always produce identical snapshot bytes.
+  /// Checkpoint/restore. The pages with a version above 0 are serialized in
+  /// ascending page order, so identical states always produce identical
+  /// snapshot bytes. load() requires a store constructed with the same
+  /// ELRANGE size and rejects pages outside it, unsorted or duplicated
+  /// pages, and version 0.
   void save(snapshot::Writer& w) const;
   void load(snapshot::Reader& r);
 
   /// Delta checkpointing (format v2): the totals plus only the version slots
   /// bumped since the last clear_dirty(). generation() also moves on load()
-  /// because total_loads_ is observable state.
+  /// because total_loads_ is observable state. apply_delta() validates the
+  /// delta's pages and versions as load() does.
   std::uint64_t generation() const noexcept { return gen_; }
   void save_delta(snapshot::Writer& w) const;
   void apply_delta(snapshot::Reader& r);
   void clear_dirty();
 
  private:
-  struct Slot {
-    std::uint64_t version = 0;
-  };
-  std::unordered_map<PageNum, Slot> slots_;
+  void mark_dirty(PageNum page);
+
+  std::vector<std::uint64_t> versions_;  // one per ELRANGE page; 0 = never
   std::uint64_t total_evictions_ = 0;
   mutable std::uint64_t total_loads_ = 0;
   mutable std::uint64_t gen_ = 0;
-  std::unordered_set<PageNum> dirty_;
+  std::vector<std::uint64_t> dirty_list_;
+  std::vector<bool> dirty_flag_;
 };
 
 }  // namespace sgxpl::sgxsim

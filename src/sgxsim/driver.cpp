@@ -147,6 +147,7 @@ Driver::Driver(const EnclaveConfig& config, const CostModel& costs,
       policy_(policy),
       page_table_(config.elrange_pages),
       epc_(config.epc_pages),
+      backing_(config.elrange_pages),
       channel_(config.serial_channel, config.channel),
       bitmap_(config.elrange_pages),
       eviction_(make_eviction_policy(config.eviction, epc_)),

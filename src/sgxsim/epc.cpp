@@ -63,7 +63,7 @@ PageNum Epc::choose_victim(PageTable& pt, PageNum pinned) {
   ++gen_;  // the sweep moves the CLOCK hand even when no slot changes
   for (std::uint64_t step = 0; step < limit; ++step) {
     const SlotIndex slot = clock_hand_;
-    clock_hand_ = static_cast<SlotIndex>((clock_hand_ + 1) % capacity_);
+    if (++clock_hand_ == capacity_) clock_hand_ = 0;
     const PageNum page = slot_to_page_[slot];
     if (page == kInvalidPage || page == pinned) {
       continue;
@@ -87,7 +87,7 @@ PageNum Epc::choose_victim_in(PageTable& pt, PageNum lo, PageNum hi,
   bool any_candidate = false;
   for (std::uint64_t step = 0; step < limit; ++step) {
     const SlotIndex slot = clock_hand_;
-    clock_hand_ = static_cast<SlotIndex>((clock_hand_ + 1) % capacity_);
+    if (++clock_hand_ == capacity_) clock_hand_ = 0;
     const PageNum page = slot_to_page_[slot];
     if (page == kInvalidPage || page == pinned || page < lo || page >= hi) {
       continue;

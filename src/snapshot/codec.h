@@ -36,9 +36,18 @@ namespace sgxpl::snapshot {
 inline constexpr std::uint32_t kFormatVersion = 2;
 inline constexpr std::string_view kMagic = "SGXPLSNP";
 
-/// CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected), portable
-/// slicing-by-8 software tables.
+/// CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected). Runs the SSE4.2
+/// crc32 instruction, 8 bytes at a time, when the CPU reports it at run
+/// time, and detail::crc32c_portable otherwise. Both compute the same
+/// function, so the checksum never depends on the host.
 std::uint32_t crc32c(const std::uint8_t* data, std::size_t len) noexcept;
+
+namespace detail {
+/// The portable slicing-by-8 software CRC32C: the only path on hosts
+/// without SSE4.2, and callable directly so tests cover it on every host.
+std::uint32_t crc32c_portable(const std::uint8_t* data,
+                              std::size_t len) noexcept;
+}  // namespace detail
 
 enum class FieldType : std::uint8_t {
   kU64 = 1,

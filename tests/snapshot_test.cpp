@@ -66,10 +66,11 @@ void decode_all(const std::vector<std::uint8_t>& bytes) {
 }
 
 TEST(SnapshotCodec, Crc32cMatchesTheCastagnoliCheckVector) {
-  const char* s = "123456789";
-  EXPECT_EQ(snapshot::crc32c(reinterpret_cast<const std::uint8_t*>(s), 9),
-            0xE3069283u);
+  const auto* s = reinterpret_cast<const std::uint8_t*>("123456789");
+  EXPECT_EQ(snapshot::crc32c(s, 9), 0xE3069283u);
+  EXPECT_EQ(snapshot::detail::crc32c_portable(s, 9), 0xE3069283u);
   EXPECT_EQ(snapshot::crc32c(nullptr, 0), 0u);
+  EXPECT_EQ(snapshot::detail::crc32c_portable(nullptr, 0), 0u);
 }
 
 /// The bytewise table CRC32C the codec used before slicing-by-8; kept here
@@ -91,16 +92,21 @@ std::uint32_t crc32c_bytewise(const std::uint8_t* data, std::size_t len) {
 }
 
 TEST(SnapshotCodec, Crc32cEqualsTheBytewiseReferenceAtEveryLengthAndOffset) {
-  // Lengths 0..257 cover every tail length around the 8-byte blocks;
-  // offsets 0..7 cover every alignment of the block loads.
+  // The dispatched crc32c (the SSE4.2 instruction where the CPU has it), the
+  // portable slicing-by-8 path and the bytewise reference must agree.
+  // Lengths 0..1024 cover every tail length around the 8-byte blocks many
+  // times over; offsets 0..7 cover every alignment of the block loads.
   Rng rng(0xC5C32);
-  std::vector<std::uint8_t> buf(257 + 8);
+  std::vector<std::uint8_t> buf(1024 + 8);
   for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
   for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t len = 0; len <= 257; ++len) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
       const std::uint8_t* p = buf.data() + offset;
-      ASSERT_EQ(snapshot::crc32c(p, len), crc32c_bytewise(p, len))
-          << "offset " << offset << " length " << len;
+      const std::uint32_t want = crc32c_bytewise(p, len);
+      ASSERT_EQ(snapshot::detail::crc32c_portable(p, len), want)
+          << "portable, offset " << offset << " length " << len;
+      ASSERT_EQ(snapshot::crc32c(p, len), want)
+          << "dispatched, offset " << offset << " length " << len;
     }
   }
 }
