@@ -14,10 +14,6 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 void Rng::reseed(std::uint64_t seed) noexcept {
@@ -27,47 +23,9 @@ void Rng::reseed(std::uint64_t seed) noexcept {
   }
 }
 
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::bounded(std::uint64_t bound) noexcept {
-  SGXPL_DCHECK(bound != 0);
-  // Lemire's nearly-divisionless bounded draw.
-  __uint128_t m = static_cast<__uint128_t>(next()) * bound;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (lo < threshold) {
-      m = static_cast<__uint128_t>(next()) * bound;
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 std::uint64_t Rng::range(std::uint64_t lo, std::uint64_t hi) noexcept {
   SGXPL_DCHECK(lo <= hi);
   return lo + bounded(hi - lo + 1);
-}
-
-double Rng::real() noexcept {
-  // 53 high bits -> uniform double in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::chance(double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return real() < p;
 }
 
 std::uint64_t Rng::burst(double p, std::uint64_t cap) noexcept {

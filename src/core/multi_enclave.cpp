@@ -69,6 +69,12 @@ class PerEnclavePolicy final : public sgxsim::PreloadPolicy {
     }
   }
 
+  void on_preloaded_page_touched(PageNum page) override {
+    if (auto* s = owner(page); s != nullptr && s->engine != nullptr) {
+      s->engine->on_preloaded_page_touched(page);
+    }
+  }
+
   void on_scan(const sgxsim::PageTable& pt, Cycles now) override {
     for (auto& s : slots_) {
       if (s.engine != nullptr) {
@@ -274,7 +280,7 @@ struct MultiEnclaveRun::Impl {
       r.leave_section();
       if (has_dfp) {
         r.enter_section("DFPE");
-        policy->mutable_engine(i)->load(r);
+        policy->mutable_engine(i)->load(r, combined_pages);
         r.leave_section();
       }
     }
@@ -555,6 +561,15 @@ Metrics MultiEnclaveRun::tenant_metrics(std::size_t enclave) const {
                   "no enclave " << enclave << " in this co-run");
   return impl_->state[enclave].metrics;
 }
+
+const dfp::DfpEngine* MultiEnclaveRun::tenant_engine(
+    std::size_t enclave) const {
+  SGXPL_CHECK_MSG(enclave < impl_->state.size(),
+                  "no enclave " << enclave << " in this co-run");
+  return impl_->policy->engine(enclave);
+}
+
+sgxsim::Driver& MultiEnclaveRun::driver() noexcept { return *impl_->driver; }
 
 std::uint64_t MultiEnclaveRun::tenant_cursor(std::size_t enclave) const {
   SGXPL_CHECK_MSG(enclave < impl_->state.size(),

@@ -102,6 +102,10 @@ class MultiEnclaveRun {
   /// the tenant is paused or done). The fleet supervisor charges RPO/RTO
   /// in these cycles.
   Cycles tenant_clock(std::size_t enclave) const;
+  /// One tenant's DFP engine; null when its scheme runs none.
+  const dfp::DfpEngine* tenant_engine(std::size_t enclave) const;
+  /// The shared driver all tenants page through.
+  sgxsim::Driver& driver() noexcept;
 
   // --- live-migration hooks (fleet::MigrationController) ---
   /// Placement of one tenant's ELRANGE in the combined page space, plus its

@@ -300,7 +300,7 @@ void SimulationRun::save_tail_sections(snapshot::Writer& w) const {
 void SimulationRun::load_tail_sections(snapshot::Reader& r) {
   if (engine_ != nullptr) {
     r.enter_section("DFPE");
-    engine_->load(r);
+    engine_->load(r, cfg_.enclave.elrange_pages);
     r.leave_section();
   }
   if (injector_ != nullptr) {

@@ -69,6 +69,8 @@ class SimulationRun {
   /// (capacity limits, channel-slowdown factors, busy-cycle metering).
   sgxsim::Driver& driver() noexcept { return *driver_; }
   const sgxsim::Driver& driver() const noexcept { return *driver_; }
+  /// The run's DFP engine; null when the scheme runs none.
+  const dfp::DfpEngine* engine() const noexcept { return engine_.get(); }
 
   /// Drain/validate and assemble the final Metrics. Requires done(); call
   /// at most once.

@@ -118,6 +118,10 @@ void DfpEngine::on_preloaded_page_evicted(PageNum page, bool /*was_accessed*/,
   list_.on_evicted(page);
 }
 
+void DfpEngine::on_preloaded_page_touched(PageNum page) {
+  list_.on_touched(page);
+}
+
 void DfpEngine::on_state_lost(Cycles /*now*/) {
   // A restarted kernel worker loses the predictor's learned streams; the
   // preload accounting (PreloadedPageList counters) survives on the driver
@@ -278,7 +282,7 @@ void DfpEngine::save(snapshot::Writer& w) const {
   }
 }
 
-void DfpEngine::load(snapshot::Reader& r) {
+void DfpEngine::load(snapshot::Reader& r, PageNum elrange_pages) {
   const std::string predictor = r.str("dfp.predictor");
   SGXPL_CHECK_MSG(predictor == predictor_->name(),
                   "snapshot was taken with predictor '"
@@ -298,7 +302,7 @@ void DfpEngine::load(snapshot::Reader& r) {
                               << " a health monitor but this engine was "
                                  "configured the other way");
   predictor_->load(r);
-  list_.load(r);
+  list_.load(r, elrange_pages);
   if (health_.has_value()) {
     health_->load(r);
   }

@@ -86,6 +86,7 @@ class DfpEngine final : public sgxsim::PreloadPolicy {
                         Cycles now) override;
   void on_preloaded_page_evicted(PageNum page, bool was_accessed,
                                  Cycles now) override;
+  void on_preloaded_page_touched(PageNum page) override;
   void on_scan(const sgxsim::PageTable& pt, Cycles now) override;
   void on_state_lost(Cycles now) override;
 
@@ -128,10 +129,11 @@ class DfpEngine final : public sgxsim::PreloadPolicy {
 
   /// Checkpoint/restore of the engine, its predictor, the preloaded-page
   /// list, and the health monitor (when enabled). load() requires an engine
-  /// built with the same predictor kind; observability sinks are not part
-  /// of the snapshot.
+  /// built with the same predictor kind, and rejects preloaded pages at or
+  /// beyond `elrange_pages` (the ELRANGE of the run that owns the engine);
+  /// observability sinks are not part of the snapshot.
   void save(snapshot::Writer& w) const;
-  void load(snapshot::Reader& r);
+  void load(snapshot::Reader& r, PageNum elrange_pages);
 
  private:
   void maybe_stop(Cycles now);

@@ -1,30 +1,55 @@
 #include "dfp/preloaded_page_list.h"
 
-#include <algorithm>
-#include <vector>
+#include <utility>
 
+#include "common/check.h"
 #include "snapshot/codec.h"
 
 namespace sgxpl::dfp {
 
+void PreloadedPageList::list(PageNum page) {
+  if (page >= listed_.size()) {
+    listed_.resize(page + 1, 0);
+  }
+  if (listed_[page] == 0) {
+    listed_[page] = 1;
+    ++tracked_;
+  }
+}
+
+void PreloadedPageList::unlist(PageNum page) noexcept {
+  listed_[page] = 0;
+  --tracked_;
+}
+
 void PreloadedPageList::on_loaded(PageNum page) {
-  pages_.insert(page);
+  list(page);
+  pending_.push_back(page);
   ++preload_counter_;
 }
 
+void PreloadedPageList::on_touched(PageNum page) {
+  if (listed(page)) {
+    pending_.push_back(page);
+  }
+}
+
 void PreloadedPageList::on_evicted(PageNum page) {
-  if (pages_.erase(page) > 0) {
+  if (listed(page)) {
+    unlist(page);
     ++evicted_unused_;
   }
 }
 
 std::uint64_t PreloadedPageList::scan(const sgxsim::PageTable& pt) {
   std::uint64_t credited = 0;
-  for (auto it = pages_.begin(); it != pages_.end();) {
-    const PageNum page = *it;
+  for (const PageNum page : pending_) {
+    if (!listed(page)) {
+      continue;  // evicted, or settled by an earlier entry of this walk
+    }
     if (page >= pt.elrange_pages() || !pt.present(page)) {
       // Evicted between notifications; treat as unused (conservative).
-      it = pages_.erase(it);
+      unlist(page);
       ++evicted_unused_;
       continue;
     }
@@ -33,18 +58,32 @@ std::uint64_t PreloadedPageList::scan(const sgxsim::PageTable& pt) {
       // The access bit is set, or the hardware already cleared the
       // preloaded flag on first touch (the bit may have been consumed by a
       // CLOCK sweep since): the preload paid off.
+      unlist(page);
       ++acc_preload_counter_;
       ++credited;
-      it = pages_.erase(it);
-    } else {
-      ++it;
     }
+    // Otherwise the page stays listed, unaccessed, until its first touch
+    // or its eviction is reported.
   }
+  pending_.clear();
   return credited;
 }
 
+std::vector<PageNum> PreloadedPageList::pages() const {
+  std::vector<PageNum> out;
+  out.reserve(tracked_);
+  for (PageNum p = 0; p < listed_.size() && out.size() < tracked_; ++p) {
+    if (listed_[p] != 0) {
+      out.push_back(p);
+    }
+  }
+  return out;
+}
+
 void PreloadedPageList::reset() {
-  pages_.clear();
+  listed_.clear();
+  tracked_ = 0;
+  pending_.clear();
   preload_counter_ = 0;
   acc_preload_counter_ = 0;
   evicted_unused_ = 0;
@@ -54,19 +93,37 @@ void PreloadedPageList::save(snapshot::Writer& w) const {
   w.u64("ppl.preload_counter", preload_counter_);
   w.u64("ppl.acc_preload_counter", acc_preload_counter_);
   w.u64("ppl.evicted_unused", evicted_unused_);
-  std::vector<std::uint64_t> pages(pages_.begin(), pages_.end());
-  std::sort(pages.begin(), pages.end());
-  w.u64_vec("ppl.pages", pages);
+  w.u64_vec("ppl.pages", pages());
 }
 
-void PreloadedPageList::load(snapshot::Reader& r) {
-  preload_counter_ = r.u64("ppl.preload_counter");
-  acc_preload_counter_ = r.u64("ppl.acc_preload_counter");
-  evicted_unused_ = r.u64("ppl.evicted_unused");
-  const std::vector<std::uint64_t> pages = r.u64_vec("ppl.pages");
-  pages_.clear();
-  pages_.reserve(pages.size());
-  pages_.insert(pages.begin(), pages.end());
+void PreloadedPageList::load(snapshot::Reader& r, PageNum elrange_pages) {
+  const std::uint64_t preload_counter = r.u64("ppl.preload_counter");
+  const std::uint64_t acc_preload_counter = r.u64("ppl.acc_preload_counter");
+  const std::uint64_t evicted_unused = r.u64("ppl.evicted_unused");
+  std::vector<std::uint64_t> pages = r.u64_vec("ppl.pages");
+  for (std::size_t i = 0; i < pages.size(); ++i) {
+    SGXPL_CHECK_MSG(pages[i] < elrange_pages,
+                    "ppl.pages[" << i << "] = " << pages[i]
+                                 << " is beyond the ELRANGE of "
+                                 << elrange_pages << " pages");
+    SGXPL_CHECK_MSG(i == 0 || pages[i - 1] < pages[i],
+                    "ppl.pages[" << i << "] = " << pages[i]
+                                 << " does not follow ppl.pages[" << i - 1
+                                 << "] = " << pages[i - 1]
+                                 << " in strictly ascending order");
+  }
+  reset();
+  preload_counter_ = preload_counter;
+  acc_preload_counter_ = acc_preload_counter;
+  evicted_unused_ = evicted_unused;
+  if (!pages.empty()) {
+    listed_.resize(pages.back() + 1, 0);
+  }
+  for (const PageNum page : pages) {
+    listed_[page] = 1;
+  }
+  tracked_ = pages.size();
+  pending_ = std::move(pages);
 }
 
 }  // namespace sgxpl::dfp

@@ -183,6 +183,16 @@ void Driver::set_time_series(obs::TimeSeriesSet* ts) noexcept {
   ts_last_preloads_completed_ = stats_.preloads_completed;
 }
 
+inline void Driver::touch_resident(PageNum page) {
+  if (page_table_.touch(page)) {
+    ++stats_.preloads_used;
+    if (policy_ != nullptr) {
+      policy_->on_preloaded_page_touched(page);
+    }
+  }
+  eviction_->on_access(page);
+}
+
 AccessOutcome Driver::access(PageNum page, Cycles now, ProcessId pid) {
   SGXPL_CHECK_MSG(page < config_.elrange_pages,
                   "access outside ELRANGE: page " << page);
@@ -192,10 +202,7 @@ AccessOutcome Driver::access(PageNum page, Cycles now, ProcessId pid) {
   {
     obs::ScopedSpan lookup(prof_, obs::Phase::kPageTableLookup);
     if (page_table_.present(page)) {
-      if (page_table_.touch(page)) {
-        ++stats_.preloads_used;
-      }
-      eviction_->on_access(page);
+      touch_resident(page);
       if (elastic_engaged_) {
         // Liveness evidence (EDMM accessed-bit sampling): a fully-resident
         // tenant never faults or maps, and without this the idle shrink
@@ -224,10 +231,7 @@ AccessOutcome Driver::access(PageNum page, Cycles now, ProcessId pid) {
   // A preload may have landed during the AEX window.
   if (page_table_.present(page)) {
     ++stats_.fault_wait_hits;
-    if (page_table_.touch(page)) {
-      ++stats_.preloads_used;
-    }
-    eviction_->on_access(page);
+    touch_resident(page);
     const Cycles done = after_aex + costs_.eresume;
     advance_to(done);
     if (log_ != nullptr) {
@@ -348,10 +352,7 @@ AccessOutcome Driver::access(PageNum page, Cycles now, ProcessId pid) {
       ++stats_.demand_loads;
     }
   }
-  if (page_table_.touch(page)) {
-    ++stats_.preloads_used;
-  }
-  eviction_->on_access(page);
+  touch_resident(page);
   if (log_ != nullptr) {
     log_->record({.at = done, .type = EventType::kResume, .page = page});
   }
@@ -500,12 +501,8 @@ void Driver::advance_to(Cycles now) {
       }
     }
     obs::ScopedSpan scan_span(prof_, obs::Phase::kScan);
-    for (const auto& op : channel_.collect_completed(next_scan_)) {
-      if (!hard || op.kind != OpKind::kDfpPreload) {
-        commit_load(op);
-      } else {
-        deliver_completion(op);
-      }
+    if (channel_.completion_due(next_scan_)) {
+      commit_completed(next_scan_, hard);
     }
     if (hard) {
       sweep_lost_ops(next_scan_);
@@ -533,6 +530,18 @@ void Driver::advance_to(Cycles now) {
     }
     next_scan_ += costs_.scan_period;
   }
+  // Most clock advances (every resident access) land before the next
+  // completion, so the harvest is skipped unless one is due.
+  if (channel_.completion_due(now)) {
+    commit_completed(now, hard);
+  }
+  if (hard) {
+    sweep_lost_ops(now);
+  }
+  bookkept_until_ = now;
+}
+
+void Driver::commit_completed(Cycles now, bool hard) {
   for (const auto& op : channel_.collect_completed(now)) {
     if (!hard || op.kind != OpKind::kDfpPreload) {
       commit_load(op);
@@ -540,10 +549,6 @@ void Driver::advance_to(Cycles now) {
       deliver_completion(op);
     }
   }
-  if (hard) {
-    sweep_lost_ops(now);
-  }
-  bookkept_until_ = now;
 }
 
 void Driver::watchdog_tick(Cycles now) {

@@ -406,6 +406,10 @@ class Driver {
   /// Sheds (and accounts) instead of scheduling on any rejection.
   AdmissionResult submit_preload(ProcessId pid, PageNum page, Cycles earliest);
 
+  /// The access lands on resident `page`: set its access bit, count and
+  /// report a preloaded page's first touch, and inform the eviction policy.
+  void touch_resident(PageNum page);
+
   /// Flush queued (not-started) DFP preloads, notifying the policy.
   void flush_queued_preloads(Cycles now);
 
@@ -445,6 +449,10 @@ class Driver {
   /// Has this preload-op id already been committed? (dup suppression)
   bool already_completed(std::uint64_t op_id) const noexcept;
   void note_completed(std::uint64_t op_id);
+
+  /// Harvest the channel ops that ended by `now` and commit them (through
+  /// deliver_completion for DFP preloads when `hard`).
+  void commit_completed(Cycles now, bool hard);
 
   /// Apply a completed channel op: evict a victim if needed, map the page.
   void commit_load(const ChannelOp& op);

@@ -152,6 +152,14 @@ class PagingChannel {
   /// advance, so reusing the buffer avoids an allocation per advance).
   const std::vector<ChannelOp>& collect_completed(Cycles now);
 
+  /// False when collect_completed(now) would certainly return nothing: the
+  /// queue is empty or, on the serial channel, its head ends after `now`.
+  /// Lets the driver skip the harvest on the many clock advances that fall
+  /// between completions.
+  bool completion_due(Cycles now) const noexcept {
+    return !queue_.empty() && (!serial_ || queue_.front().end <= now);
+  }
+
   /// Abort every op that has not started by `now` (start > now). In-flight
   /// and completed ops are untouched. Returns the aborted ops.
   /// `keep_kind`: ops of this kind survive (demand loads are never flushed

@@ -2,8 +2,16 @@
 //
 // The DFP engine (src/dfp) implements this. The driver invokes it from the
 // fault handler (prediction), from the channel bookkeeping (completion /
-// abort / eviction of preloaded pages), and from the periodic service-thread
-// scan (the CLOCK access-bit sweep the abort counters piggyback on, §4.2).
+// abort / eviction of preloaded pages), from the access path (first touch of
+// a preloaded page), and from the periodic service-thread scan (the CLOCK
+// access-bit sweep the abort counters piggyback on, §4.2).
+//
+// Between two scans, a preloaded page's answer to the scan ("used",
+// "evicted unused", or "still waiting") changes only through the events
+// these hooks report: it completes (on_preload_completed), it is touched for
+// the first time (on_preloaded_page_touched), or it is evicted
+// (on_preloaded_page_evicted). A policy that records them can re-check just
+// those pages at the tick instead of walking every outstanding preload.
 #pragma once
 
 #include <vector>
@@ -42,6 +50,12 @@ class PreloadPolicy {
   /// the application ever touched it (false = confirmed misprediction).
   virtual void on_preloaded_page_evicted(PageNum page, bool was_accessed,
                                          Cycles now) = 0;
+
+  /// The application touched `page` for the first time since a preload
+  /// brought it in (PageTable::touch returned true): the page's access bit
+  /// is now set and its preloaded flag clear. Fires for SIP-loaded pages
+  /// too; policies ignore pages they did not preload. Default: no-op.
+  virtual void on_preloaded_page_touched(PageNum /*page*/) {}
 
   /// Periodic service-thread scan. The policy may inspect access bits
   /// through `pt` to account which of its preloaded pages were used.

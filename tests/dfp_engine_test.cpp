@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/check.h"
 #include "sgxsim/page_table.h"
+#include "snapshot/codec.h"
 
 namespace sgxpl::dfp {
 namespace {
@@ -65,6 +71,77 @@ TEST(PreloadedPageList, ScanDropsNonResidentPages) {
   EXPECT_EQ(list.scan(pt), 0u);
   EXPECT_EQ(list.tracked(), 0u);
   EXPECT_EQ(list.evicted_unused(), 1u);
+}
+
+/// A snapshot holding one PreloadedPageList with the given `ppl.pages`.
+std::vector<std::uint8_t> list_frame(const std::vector<std::uint64_t>& pages) {
+  snapshot::Writer w;
+  w.begin_section("DFPE");
+  w.u64("ppl.preload_counter", 40);
+  w.u64("ppl.acc_preload_counter", 20);
+  w.u64("ppl.evicted_unused", 10);
+  w.u64_vec("ppl.pages", pages);
+  w.end_section();
+  return w.finish();
+}
+
+void load_list(PreloadedPageList& list, const std::vector<std::uint8_t>& bytes,
+               PageNum elrange_pages) {
+  snapshot::Reader r(bytes);
+  r.enter_section("DFPE");
+  list.load(r, elrange_pages);
+  r.leave_section();
+}
+
+/// Loading `pages` under an ELRANGE of 100 throws a CheckFailure naming
+/// `entry`, and leaves a list with one tracked page untouched.
+void expect_rejected(const std::vector<std::uint64_t>& pages,
+                     const std::string& entry) {
+  PreloadedPageList list;
+  list.on_loaded(7);
+  try {
+    load_list(list, list_frame(pages), 100);
+    ADD_FAILURE() << "malformed ppl.pages accepted";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find(entry), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(list.preload_counter(), 1u);
+  EXPECT_EQ(list.pages(), std::vector<PageNum>{7});
+}
+
+TEST(PreloadedPageListLoad, WellFormedListRestoresAndIsRechecked) {
+  PreloadedPageList list;
+  load_list(list, list_frame({3, 9, 99}), 100);
+  EXPECT_EQ(list.preload_counter(), 40u);
+  EXPECT_EQ(list.acc_preload_counter(), 20u);
+  EXPECT_EQ(list.evicted_unused(), 10u);
+  EXPECT_EQ(list.tracked(), 3u);
+  EXPECT_EQ(list.pages(), (std::vector<PageNum>{3, 9, 99}));
+
+  // Every restored page is re-checked at the next scan: page 3 was
+  // touched before the save (the touch report is not in the snapshot),
+  // page 9 is waiting, page 99 was evicted.
+  sgxsim::PageTable pt(100);
+  pt.map(3, 0, true);
+  pt.map(9, 1, true);
+  pt.touch(3);
+  EXPECT_EQ(list.scan(pt), 1u);
+  EXPECT_EQ(list.pages(), std::vector<PageNum>{9});
+  EXPECT_EQ(list.evicted_unused(), 11u);
+}
+
+TEST(PreloadedPageListLoad, RejectsUnsortedPages) {
+  expect_rejected({3, 9, 5}, "ppl.pages[2] = 5");
+}
+
+TEST(PreloadedPageListLoad, RejectsDuplicatedPages) {
+  expect_rejected({3, 9, 9}, "ppl.pages[2] = 9");
+}
+
+TEST(PreloadedPageListLoad, RejectsPagesBeyondTheElrange) {
+  expect_rejected({3, 100}, "ppl.pages[1] = 100");
+  expect_rejected({std::uint64_t{1} << 60}, "ppl.pages[0]");
 }
 
 TEST(DfpEngine, ForwardsPredictions) {
