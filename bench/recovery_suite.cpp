@@ -60,10 +60,10 @@ core::Metrics run_killed_at(const core::SimConfig& cfg, const trace::Trace& t,
     while (!victim.done() && victim.cursor() < cut) {
       victim.step();
     }
-    snap = snapshot::capture(victim);
+    snap = victim.save_bytes();
   }
   core::SimulationRun resumed(cfg, t, plan);
-  snapshot::restore(resumed, snap);
+  resumed.load_bytes(snap);
   return resumed.run_to_end();
 }
 
@@ -328,7 +328,7 @@ int main(int argc, char** argv) {
     while (!victim.done() && victim.cursor() < stop) {
       victim.step();
     }
-    const auto snap = snapshot::capture(victim);
+    const auto snap = victim.save_bytes();
     std::uint64_t trials = 0;
     std::uint64_t rejected = 0;
     for (std::size_t n = 0; n < snap.size(); n += 97) {  // truncations

@@ -1,9 +1,33 @@
 #include "core/experiment.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "common/stats.h"
 
 namespace sgxpl::core {
+
+namespace {
+
+/// The SIP plan, compiled once from the train input as in the paper when
+/// a requested scheme uses SIP and the workload supports it; empty
+/// otherwise.
+sip::InstrumentationPlan sip_plan(const trace::Workload& workload,
+                                  const std::vector<Scheme>& schemes,
+                                  const SimConfig& cfg,
+                                  const ExperimentOptions& opts,
+                                  obs::MetricsRegistry* registry) {
+  const bool needs_sip =
+      std::any_of(schemes.begin(), schemes.end(), core::uses_sip);
+  if (!needs_sip || !workload.info.sip_supported) {
+    return {};
+  }
+  return sip::compile_workload(workload, cfg.sip,
+                               trace::train_params(opts.train_scale), registry)
+      .plan;
+}
+
+}  // namespace
 
 const SchemeResult* WorkloadComparison::find(Scheme s) const noexcept {
   for (const auto& r : schemes) {
@@ -23,19 +47,9 @@ WorkloadComparison compare_schemes(const trace::Workload& workload,
 
   const trace::Trace ref = workload.make(trace::ref_params(opts.scale));
 
-  // Compile the SIP plan once if any requested scheme uses it.
-  bool needs_sip = false;
-  for (const Scheme s : schemes) {
-    needs_sip = needs_sip || uses_sip(s);
-  }
-  sip::InstrumentationPlan plan;
-  if (needs_sip && workload.info.sip_supported) {
-    auto compiled = sip::compile_workload(workload, base_cfg.sip,
-                                          trace::train_params(opts.train_scale),
-                                          base_cfg.registry);
-    plan = std::move(compiled.plan);
-    out.sip_points = plan.points();
-  }
+  const sip::InstrumentationPlan plan =
+      sip_plan(workload, schemes, base_cfg, opts, base_cfg.registry);
+  out.sip_points = plan.points();
 
   {
     SimConfig cfg = base_cfg;
@@ -76,18 +90,9 @@ std::vector<ReplicatedResult> compare_schemes_replicated(
   const trace::Workload* w = trace::find_workload(workload_name);
   SGXPL_CHECK_MSG(w != nullptr, "unknown workload: " << workload_name);
 
-  // The SIP plan is compiled once from the train input, as in the paper;
-  // only the measurement input varies across replicas.
-  bool needs_sip = false;
-  for (const Scheme s : schemes) {
-    needs_sip = needs_sip || uses_sip(s);
-  }
-  sip::InstrumentationPlan plan;
-  if (needs_sip && w->info.sip_supported) {
-    plan = sip::compile_workload(*w, base_cfg.sip,
-                                 trace::train_params(opts.train_scale))
-               .plan;
-  }
+  // Only the measurement input varies across replicas.
+  const sip::InstrumentationPlan plan =
+      sip_plan(*w, schemes, base_cfg, opts, nullptr);
 
   std::vector<ReplicatedResult> results;
   results.reserve(schemes.size());

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/metrics.h"
+#include "core/run_stack.h"
 #include "core/scheme.h"
 #include "sip/instrumenter.h"
 #include "snapshot/fwd.h"
@@ -55,9 +56,9 @@ struct MultiEnclaveResult {
 
 /// One in-progress co-simulation, steppable one access at a time so it can
 /// be checkpointed and resumed bit-identically (same contract as
-/// core::SimulationRun; see its header for the save/load semantics). The
+/// core::SimulationRun; the checkpoint verbs come from RunSkeleton). The
 /// traces and plans referenced by `apps` must outlive the run.
-class MultiEnclaveRun {
+class MultiEnclaveRun : public RunSkeleton<MultiEnclaveRun> {
  public:
   MultiEnclaveRun(const SimConfig& config, const std::vector<EnclaveApp>& apps);
   ~MultiEnclaveRun();
@@ -73,26 +74,8 @@ class MultiEnclaveRun {
 
   /// Assemble the final result. Requires done(); call at most once.
   MultiEnclaveResult finish();
-  MultiEnclaveResult run_to_end();
 
-  // --- checkpoint/restore (same contract as SimulationRun) ---
-  // A frame lays multi-enclave state out per tenant: an "ENCM" identity
-  // section, the tenant's "APPS" clock/metrics, and its "DFPE" engine (when
-  // the scheme runs one) are grouped per enclave so one tenant can be
-  // extracted and inspected standalone (snapshot::extract_enclave).
-  void save(snapshot::Writer& w) const;
-  void save(snapshot::Writer& w, const snapshot::ChainHeader& chain) const;
-  std::vector<std::uint8_t> save_bytes() const;
-  void load_bytes(const std::vector<std::uint8_t>& bytes);
-  bool restore_if_compatible(const std::vector<std::uint8_t>& bytes);
   snapshot::RunMeta meta() const;
-
-  // --- delta checkpointing (same contract as SimulationRun) ---
-  void save_delta(snapshot::Writer& w, const snapshot::ChainHeader& chain,
-                  const snapshot::SectionGens& last) const;
-  void apply_delta_bytes(const std::vector<std::uint8_t>& bytes);
-  snapshot::SectionGens section_gens() const;
-  void clear_dirty();
 
   // --- per-tenant inspection (the in-situ side of extraction tests) ---
   std::size_t enclave_count() const noexcept;
@@ -105,7 +88,7 @@ class MultiEnclaveRun {
   /// One tenant's DFP engine; null when its scheme runs none.
   const dfp::DfpEngine* tenant_engine(std::size_t enclave) const;
   /// The shared driver all tenants page through.
-  sgxsim::Driver& driver() noexcept;
+  sgxsim::Driver& driver() noexcept { return stack_.driver(); }
 
   // --- live-migration hooks (fleet::MigrationController) ---
   /// Placement of one tenant's ELRANGE in the combined page space, plus its
@@ -131,8 +114,24 @@ class MultiEnclaveRun {
   void retire_tenant(std::size_t enclave);
 
  private:
+  // A frame lays co-run state out per tenant: an "ENCM" identity section,
+  // the tenant's "APPS" clock/metrics, and its "DFPE" engine (when the
+  // scheme runs one) are grouped per enclave ahead of the shared driver's
+  // sections, so one tenant can be extracted and inspected standalone
+  // (snapshot::extract_enclave). Nothing follows the driver but INJC.
+  friend class RunSkeleton<MultiEnclaveRun>;
+  RunStack& stack() noexcept { return stack_; }
+  const RunStack& stack() const noexcept { return stack_; }
+  void save_head(snapshot::Writer& w) const;
+  void load_head(snapshot::Reader& r);
+  void save_tail(snapshot::Writer&) const {}
+  void load_tail(snapshot::Reader&) {}
+
+  // Tenant layout, per-enclave engines and scheduler state. Declared before
+  // the stack, whose driver calls into Impl's engines until it is destroyed.
   struct Impl;
   std::unique_ptr<Impl> impl_;
+  RunStack stack_;
 };
 
 class MultiEnclaveSimulator {

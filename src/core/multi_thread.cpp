@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "common/check.h"
+#include "core/run_stack.h"
 #include "dfp/dfp_engine.h"
 #include "sgxsim/driver.h"
 
@@ -23,18 +24,13 @@ ThreadedRunResult run_threads(const SimConfig& config,
     elrange = std::max(elrange, t->elrange_pages());
   }
 
-  std::unique_ptr<dfp::DfpEngine> engine;
-  if (config.uses_dfp()) {
-    dfp::DfpParams params = config.dfp;
-    if (config.dfp_stop_forced()) {
-      params.stop_enabled = true;
-    }
-    engine = std::make_unique<dfp::DfpEngine>(params);
+  const std::unique_ptr<dfp::DfpEngine> engine =
+      make_dfp_engine(config, config.scheme);
+  if (engine != nullptr) {
+    engine->set_observability(config.registry, config.timeseries);
   }
-
-  sgxsim::EnclaveConfig ecfg = config.enclave;
-  ecfg.elrange_pages = elrange;
-  sgxsim::Driver driver(ecfg, config.costs, engine.get());
+  RunStack stack(config, elrange, engine.get());
+  sgxsim::Driver& driver = stack.driver();
 
   struct ThreadState {
     std::size_t cursor = 0;
@@ -80,8 +76,13 @@ ThreadedRunResult run_threads(const SimConfig& config,
     result.makespan = std::max(result.makespan, st.metrics.total_cycles);
     result.per_thread.push_back(std::move(st.metrics));
   }
-  result.driver = driver.stats();
-  result.dfp_stopped = engine != nullptr && engine->stopped();
+  stack.collect(result.driver, result.inject);
+  if (engine != nullptr) {
+    result.dfp_stopped = engine->stopped();
+    if (config.registry != nullptr) {
+      engine->publish(*config.registry);
+    }
+  }
   return result;
 }
 

@@ -23,12 +23,16 @@ struct ThreadedRunResult {
   std::vector<Metrics> per_thread;
   Cycles makespan = 0;
   sgxsim::DriverStats driver;
+  /// Fault-injection activity (all zero when no chaos plan ran).
+  inject::InjectStats inject;
   bool dfp_stopped = false;
 };
 
 /// Run `threads` (each a per-thread access trace over the SAME ELRANGE)
-/// under `config`. Only DFP-family schemes are supported (SIP plans are
-/// per-binary, not per-thread; pass kBaseline/kDfp/kDfpStop).
+/// under `config`, on the same driver stack as every other simulation
+/// (config.chaos and the observability sinks apply). Only DFP-family
+/// schemes are supported (SIP plans are per-binary, not per-thread; pass
+/// kBaseline/kDfp/kDfpStop).
 ThreadedRunResult run_threads(const SimConfig& config,
                               const std::vector<const trace::Trace*>& threads,
                               bool per_thread_streams = true);

@@ -297,23 +297,17 @@ snapshot::RunMeta ShardedFleetRun::meta() const {
   snapshot::RunMeta meta;
   meta.kind = "sharded-fleet";
   meta.scheme = to_string(base_.scheme);
-  std::uint64_t total = 0;
-  for (const auto& l : lanes_) {
-    total += l->cursor();
-  }
   meta.trace_name = "sharded[" + std::to_string(lanes_.size()) + "]";
-  std::uint64_t accesses = 0;
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    accesses += lanes_[i]->meta().trace_accesses;
+  for (const auto& l : lanes_) {
+    meta.cursor += l->cursor();
+    meta.trace_accesses += l->meta().trace_accesses;
   }
-  meta.trace_accesses = accesses;
   meta.elrange_pages = base_.enclave.elrange_pages;
   meta.epc_pages = base_.enclave.epc_pages;
   meta.chaos_spec = base_.chaos.spec();
   meta.chaos_seed = base_.chaos.seed;
   meta.hardening_spec =
       sgxsim::overload_spec(base_.enclave) + "|" + spec_.spec();
-  meta.cursor = total;
   return meta;
 }
 
@@ -340,7 +334,10 @@ std::vector<std::uint8_t> ShardedFleetRun::save_bytes() const {
   return w.finish();
 }
 
-void ShardedFleetRun::load_from_reader(snapshot::Reader& r) {
+void ShardedFleetRun::load_bytes(const std::vector<std::uint8_t>& bytes) {
+  snapshot::RunFrame f(bytes);
+  f.require(snapshot::FrameKind::kFull, meta());
+  snapshot::Reader& r = f.body;
   r.enter_section("SHRD");
   epoch_ = r.u64("shard.epoch");
   horizon_ = r.u64("shard.horizon");
@@ -367,24 +364,17 @@ void ShardedFleetRun::load_from_reader(snapshot::Reader& r) {
   // The controller knobs are transient driver state (never inside a lane
   // frame); re-arm them exactly as the barrier left them.
   apply_knobs();
-}
-
-void ShardedFleetRun::load_bytes(const std::vector<std::uint8_t>& bytes) {
-  snapshot::RunFrame f(bytes);
-  f.require(snapshot::FrameKind::kFull, meta());
-  load_from_reader(f.body);
   f.finish();
 }
 
 bool ShardedFleetRun::restore_if_compatible(
     const std::vector<std::uint8_t>& bytes) {
-  snapshot::RunFrame f(bytes);
+  const snapshot::RunFrame f(bytes);
   if (f.chain.kind != snapshot::FrameKind::kFull ||
       !f.meta.incompatibility(meta()).empty()) {
     return false;
   }
-  load_from_reader(f.body);
-  f.finish();
+  load_bytes(bytes);
   return true;
 }
 

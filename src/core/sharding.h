@@ -143,7 +143,6 @@ class ShardedFleetRun {
  private:
   void barrier();
   void apply_knobs();
-  void load_from_reader(snapshot::Reader& r);
 
   SimConfig base_;
   ShardingSpec spec_;

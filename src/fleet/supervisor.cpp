@@ -339,15 +339,10 @@ void FleetSupervisor::write_frame_to_disk(Host& h,
   const std::string base =
       chain_dir_ + "/host-" + std::to_string(h.index) + ".snap";
   const std::size_t at = h.chain.size();  // index this frame lands at
-  if (at == 0 && !torn) {
-    snapshot::write_file_atomic(base, f.bytes);
-    snapshot::remove_stale_deltas(base);
-  } else {
-    // Deltas land beside the base; a torn write never replaces the base
-    // atomically, so it is modeled as a truncated tail file.
-    snapshot::write_file_atomic(
-        snapshot::delta_path(base, at == 0 ? 1 : at), f.bytes);
-  }
+  // Deltas land beside the base; a torn write never replaces the base
+  // atomically, so it is modeled as a truncated tail file.
+  snapshot::write_chain_file(base, torn ? std::max<std::size_t>(at, 1) : at,
+                             f.bytes);
 }
 
 void FleetSupervisor::take_checkpoint(Host& h, bool barrier,

@@ -66,6 +66,19 @@ inline void remove_stale_deltas(const std::string& base_path) {
   }
 }
 
+/// Write one frame of the on-disk chain rooted at `base_path`. Slot 0 is
+/// the base: it replaces the file atomically and then drops the previous
+/// chain's deltas. Slot N is the file of the N-th delta beside it.
+inline void write_chain_file(const std::string& base_path, std::uint64_t slot,
+                             const std::vector<std::uint8_t>& bytes) {
+  if (slot == 0) {
+    write_file_atomic(base_path, bytes);
+    remove_stale_deltas(base_path);
+  } else {
+    write_file_atomic(delta_path(base_path, slot), bytes);
+  }
+}
+
 /// One emitted checkpoint frame.
 struct ChainFrame {
   std::vector<std::uint8_t> bytes;
@@ -111,7 +124,6 @@ class Snapshotter {
     run.clear_dirty();
     ++emitted_;
     if (full) {
-      ++full_frames_;
       full_bytes_ += f.bytes.size();
     } else {
       ++delta_frames_;
@@ -121,13 +133,9 @@ class Snapshotter {
   }
 
   std::uint64_t frames() const noexcept { return emitted_; }
-  std::uint64_t full_frames() const noexcept { return full_frames_; }
   std::uint64_t delta_frames() const noexcept { return delta_frames_; }
   std::uint64_t full_bytes() const noexcept { return full_bytes_; }
   std::uint64_t delta_bytes() const noexcept { return delta_bytes_; }
-  std::uint64_t bytes_written() const noexcept {
-    return full_bytes_ + delta_bytes_;
-  }
 
  private:
   /// Content-derived chain identity: CRC of the serialized META frame mixed
@@ -148,7 +156,6 @@ class Snapshotter {
   std::uint64_t chain_id_ = 0;
   std::uint32_t prev_crc_ = 0;
   SectionGens last_gens_{};
-  std::uint64_t full_frames_ = 0;
   std::uint64_t delta_frames_ = 0;
   std::uint64_t full_bytes_ = 0;
   std::uint64_t delta_bytes_ = 0;

@@ -1,102 +1,10 @@
 #include "snapshot/snapshotter.h"
 
-#include <chrono>
 #include <utility>
 
 #include "common/check.h"
-#include "obs/metrics.h"
 
 namespace sgxpl::snapshot {
-
-namespace {
-
-std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> capture(const core::SimulationRun& run) {
-  return run.save_bytes();
-}
-
-std::vector<std::uint8_t> capture(const core::MultiEnclaveRun& run) {
-  return run.save_bytes();
-}
-
-void restore(core::SimulationRun& run,
-             const std::vector<std::uint8_t>& bytes) {
-  run.load_bytes(bytes);
-}
-
-void restore(core::MultiEnclaveRun& run,
-             const std::vector<std::uint8_t>& bytes) {
-  run.load_bytes(bytes);
-}
-
-void capture_to_file(const core::SimulationRun& run, const std::string& path) {
-  write_file_atomic(path, run.save_bytes());
-}
-
-void capture_to_file(const core::MultiEnclaveRun& run,
-                     const std::string& path) {
-  write_file_atomic(path, run.save_bytes());
-}
-
-bool restore_from_file(core::SimulationRun& run, const std::string& path) {
-  if (!file_readable(path)) {
-    return false;
-  }
-  return run.restore_if_compatible(read_file(path));
-}
-
-bool restore_from_file(core::MultiEnclaveRun& run, const std::string& path) {
-  if (!file_readable(path)) {
-    return false;
-  }
-  return run.restore_if_compatible(read_file(path));
-}
-
-void capture_to_file(const core::SimulationRun& run, const std::string& path,
-                     obs::MetricsRegistry* reg) {
-  const auto t0 = std::chrono::steady_clock::now();
-  capture_to_file(run, path);
-  if (reg != nullptr) {
-    reg->histogram("snapshot.save_cycles").record(elapsed_ns(t0));
-  }
-}
-
-void capture_to_file(const core::MultiEnclaveRun& run, const std::string& path,
-                     obs::MetricsRegistry* reg) {
-  const auto t0 = std::chrono::steady_clock::now();
-  capture_to_file(run, path);
-  if (reg != nullptr) {
-    reg->histogram("snapshot.save_cycles").record(elapsed_ns(t0));
-  }
-}
-
-bool restore_from_file(core::SimulationRun& run, const std::string& path,
-                       obs::MetricsRegistry* reg) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const bool restored = restore_from_file(run, path);
-  if (restored && reg != nullptr) {
-    reg->histogram("snapshot.load_cycles").record(elapsed_ns(t0));
-  }
-  return restored;
-}
-
-bool restore_from_file(core::MultiEnclaveRun& run, const std::string& path,
-                       obs::MetricsRegistry* reg) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const bool restored = restore_from_file(run, path);
-  if (restored && reg != nullptr) {
-    reg->histogram("snapshot.load_cycles").record(elapsed_ns(t0));
-  }
-  return restored;
-}
 
 namespace {
 
@@ -537,10 +445,6 @@ ExtractedEnclave read_extracted(const std::vector<std::uint8_t>& bytes) {
   }
   f.finish();
   return out;
-}
-
-Diff diff_runs(const core::SimulationRun& a, const core::SimulationRun& b) {
-  return diff(a.save_bytes(), b.save_bytes());
 }
 
 namespace {

@@ -1,8 +1,7 @@
-// Convenience facade over the snapshot codec for whole-run checkpointing:
-// capture/restore of SimulationRun and MultiEnclaveRun, file round-trips,
-// and state diffing — the verbs the kill-restore harness and the bench
-// --checkpoint/--resume flags are written in. Everything here is sugar over
-// the runs' own save()/load(); no state lives in this layer.
+// Whole-run frame tools over the runs' own checkpoint verbs: per-tenant
+// extraction from co-run frames (inspection and the live-migration carve)
+// and state diffing. No state lives in this layer; capture and restore are
+// the runs' save_bytes()/load_bytes()/restore_if_compatible().
 #pragma once
 
 #include <cstdint>
@@ -13,45 +12,7 @@
 #include "core/simulator.h"
 #include "snapshot/codec.h"
 
-namespace sgxpl::obs {
-class MetricsRegistry;
-}  // namespace sgxpl::obs
-
 namespace sgxpl::snapshot {
-
-/// Full framed snapshot of the run's current state.
-std::vector<std::uint8_t> capture(const core::SimulationRun& run);
-std::vector<std::uint8_t> capture(const core::MultiEnclaveRun& run);
-
-/// Restore `run` from a snapshot taken from an identically configured run.
-/// Throws CheckFailure on corruption or configuration mismatch.
-void restore(core::SimulationRun& run, const std::vector<std::uint8_t>& bytes);
-void restore(core::MultiEnclaveRun& run,
-             const std::vector<std::uint8_t>& bytes);
-
-/// Atomic snapshot-to-file (temp file + rename).
-void capture_to_file(const core::SimulationRun& run, const std::string& path);
-void capture_to_file(const core::MultiEnclaveRun& run,
-                     const std::string& path);
-
-/// Restore from `path` if it exists and describes this run; returns false
-/// (run untouched) when the file is absent or belongs to a different run.
-/// Throws CheckFailure when the file exists but is corrupt.
-bool restore_from_file(core::SimulationRun& run, const std::string& path);
-bool restore_from_file(core::MultiEnclaveRun& run, const std::string& path);
-
-/// Timed variants: additionally record the wall-clock cost of the
-/// serialize+write (or read+deserialize) into `reg`'s "snapshot.save_cycles"
-/// / "snapshot.load_cycles" histograms. Latency is steady-clock nanoseconds
-/// (~cycles at 1 GHz); a null registry degrades to the untimed variants.
-void capture_to_file(const core::SimulationRun& run, const std::string& path,
-                     obs::MetricsRegistry* reg);
-void capture_to_file(const core::MultiEnclaveRun& run, const std::string& path,
-                     obs::MetricsRegistry* reg);
-bool restore_from_file(core::SimulationRun& run, const std::string& path,
-                       obs::MetricsRegistry* reg);
-bool restore_from_file(core::MultiEnclaveRun& run, const std::string& path,
-                       obs::MetricsRegistry* reg);
 
 // --- per-enclave extraction (multi-enclave frames) ---
 
@@ -116,12 +77,9 @@ std::vector<std::uint8_t> extract_resumable(
 std::vector<std::uint8_t> extract_resumable(const core::MultiEnclaveRun& run,
                                             std::size_t enclave);
 
-/// Serialize both runs' states and localize the first diverging field —
-/// the divergence reporter behind the kill-restore differential harness.
-Diff diff_runs(const core::SimulationRun& a, const core::SimulationRun& b);
-
-/// Same, over two final Metrics (covers the nested driver and injection
-/// statistics field by field).
+/// Localize the first diverging field of two final Metrics (covers the
+/// nested driver and injection statistics field by field) — the divergence
+/// reporter behind the kill-restore differential harness.
 Diff diff_metrics(const core::Metrics& a, const core::Metrics& b);
 
 }  // namespace sgxpl::snapshot

@@ -5,6 +5,8 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/simulator.h"
+#include "inject/chaos_plan.h"
+#include "obs/profiler.h"
 #include "trace/generators.h"
 
 namespace sgxpl::core {
@@ -36,6 +38,28 @@ TEST(MultiEnclave, SingleEnclaveMatchesPlainSimulator) {
   EXPECT_EQ(result.per_enclave[0].total_cycles, solo.total_cycles);
   EXPECT_EQ(result.per_enclave[0].enclave_faults, solo.enclave_faults);
   EXPECT_EQ(result.makespan, solo.total_cycles);
+}
+
+TEST(MultiEnclave, CoRunSipChecksGoThroughTheChaosHook) {
+  // A co-run SIP tenant's BIT_MAP_CHECK is the driver's sip_bitmap_check,
+  // as in a single-enclave run: flip-bit lies reach it, and its profile
+  // carries the bitmap-check phase.
+  const auto a = seq_trace(128, 2'000, 1);
+  const auto b = seq_trace(128, 2'000, 2);
+  sip::InstrumentationPlan plan;
+  plan.add_site(1);  // seq_trace's one site: every access is checked
+  obs::Profiler prof;
+  prof.set_enabled(true);
+  auto cfg = shared_config(128);
+  cfg.chaos = *inject::ChaosPlan::parse("flip-bit:0.5");
+  cfg.profiler = &prof;
+  MultiEnclaveSimulator multi(cfg);
+  const auto r = multi.run({EnclaveApp{&a, Scheme::kSip, &plan},
+                            EnclaveApp{&b, Scheme::kBaseline, nullptr}});
+  EXPECT_GT(r.per_enclave[0].sip_checks, 0u);
+  EXPECT_GT(r.driver.bitmap_lies, 0u);
+  EXPECT_NE(prof.profile().find({obs::Phase::kStep, obs::Phase::kBitmapCheck}),
+            nullptr);
 }
 
 TEST(MultiEnclave, RejectsEmptyInput) {

@@ -5,6 +5,9 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/simulator.h"
+#include "inject/chaos_plan.h"
+#include "obs/metrics.h"
+#include "obs/profiler.h"
 #include "trace/generators.h"
 
 namespace sgxpl::core {
@@ -83,6 +86,26 @@ TEST(RunThreads, PerThreadStreamsSurviveNoisyNeighbour) {
   // pooled keying loses the stream to churn.
   EXPECT_GT(scan_gain(per_thread), scan_gain(pooled));
   EXPECT_GT(per_thread.driver.preloads_used, pooled.driver.preloads_used);
+}
+
+TEST(RunThreads, ChaosAndSinksReachTheThreadedStack) {
+  // run_threads builds its driver through the same stack as every other
+  // simulation: the chaos plan arms the injector and the online watchdog,
+  // and the registry and profiler see the threaded run.
+  const auto a = seq(0, 48, 64, 2'000, 1);
+  const auto b = seq(16, 48, 64, 2'000, 2);
+  obs::MetricsRegistry reg;
+  obs::Profiler prof;
+  prof.set_enabled(true);
+  auto c = cfg(Scheme::kDfpStop, 32);
+  c.chaos = inject::ChaosPlan::all(7);
+  c.registry = &reg;
+  c.profiler = &prof;
+  const auto r = run_threads(c, {&a, &b});
+  EXPECT_GT(r.driver.watchdog_checks, 0u);
+  EXPECT_GT(r.inject.total_fired(), 0u);
+  EXPECT_EQ(reg.counter("inject.fired").value(), r.inject.total_fired());
+  EXPECT_FALSE(prof.profile().empty());
 }
 
 TEST(RunThreads, MakespanIsMaxThreadTime) {
