@@ -171,3 +171,62 @@ TEST(DeltaRestoreEquivalence, MidTraceChainResumeFinishesIdentically) {
     EXPECT_TRUE(d.identical) << d.first_divergence;
   }
 }
+
+namespace {
+
+/// The driver-structure sections (PGTD/EPCD/BMPD/BSTD) a delta frame
+/// carries, in frame order.
+std::vector<std::string> structure_sections(
+    const std::vector<std::uint8_t>& frame) {
+  snapshot::Reader r(frame);
+  std::vector<std::string> tags;
+  for (std::uint32_t s = 0; s < r.section_count(); ++s) {
+    const std::string tag = r.enter_any_section();
+    while (r.more_fields()) {
+      r.next_field();
+    }
+    r.leave_section();
+    if (tag == "PGTD" || tag == "EPCD" || tag == "BMPD" || tag == "BSTD") {
+      tags.push_back(tag);
+    }
+  }
+  return tags;
+}
+
+}  // namespace
+
+// A delta frame carries a structure's section exactly when that structure
+// changed since the previous checkpoint. Two EPC slots, pages 0, 1, 2: the
+// third access's CLOCK sweep clears both access bits and evicts page 0, so
+// page 1 stays resident with its access bit clear.
+TEST(DeltaSections, ADeltaCarriesExactlyTheStructuresThatChanged) {
+  trace::Trace t("delta-sections", 8);
+  for (const PageNum page : std::vector<PageNum>{0, 1, 2, 1, 3}) {
+    t.append(trace::Access{.page = page, .gap = 10});
+  }
+  core::SimConfig cfg;
+  cfg.enclave.epc_pages = 2;
+  core::SimulationRun run(cfg, t);
+  snapshot::Snapshotter<core::SimulationRun> snap(/*full_every=*/100);
+  for (int i = 0; i < 3; ++i) {
+    run.step();
+  }
+  ASSERT_EQ(snap.checkpoint(run).header.kind, snapshot::FrameKind::kFull);
+  ASSERT_TRUE(run.driver().page_table().present(1));
+
+  // No step since the base: only the driver scalars travel.
+  EXPECT_EQ(structure_sections(snap.checkpoint(run).bytes),
+            std::vector<std::string>{});
+
+  // The first touch of resident page 1 sets its access bit and nothing else.
+  run.step();
+  EXPECT_EQ(run.driver().stats().faults, 3u);
+  EXPECT_EQ(structure_sections(snap.checkpoint(run).bytes),
+            std::vector<std::string>{"PGTD"});
+
+  // A fault on page 3 evicts page 1: every structure moves.
+  run.step();
+  EXPECT_EQ(run.driver().stats().evictions, 2u);
+  EXPECT_EQ(structure_sections(snap.checkpoint(run).bytes),
+            (std::vector<std::string>{"PGTD", "EPCD", "BMPD", "BSTD"}));
+}
