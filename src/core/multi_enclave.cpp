@@ -273,14 +273,7 @@ MultiEnclaveResult MultiEnclaveRun::finish() {
   SGXPL_CHECK_MSG(done(), "finishing an unfinished multi-enclave run");
   begin_finish();
   sgxsim::Driver& driver = stack_.driver();
-
-  // A hardened run may still hold lost ops awaiting their retry deadlines;
-  // settle them so shed/retry/permanent counters are final. The default
-  // (non-hardened) path skips this and finishes exactly as before.
-  if (im.cfg.enclave.channel.max_retries > 0) {
-    driver.drain();
-    driver.check_invariants();
-  }
+  stack_.settle();
 
   MultiEnclaveResult result;
   result.per_enclave.reserve(im.apps.size());

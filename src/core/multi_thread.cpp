@@ -71,6 +71,7 @@ ThreadedRunResult run_threads(const SimConfig& config,
     }
   }
 
+  stack.settle();
   ThreadedRunResult result;
   for (auto& st : state) {
     result.makespan = std::max(result.makespan, st.metrics.total_cycles);

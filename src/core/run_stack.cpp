@@ -37,7 +37,8 @@ void fill_dfp_metrics(const dfp::DfpEngine& engine, Metrics& m) {
 
 RunStack::RunStack(const SimConfig& cfg, PageNum elrange_pages,
                    sgxsim::PreloadPolicy* policy)
-    : registry_(cfg.registry) {
+    : settle_(cfg.validate || cfg.enclave.channel.max_retries > 0),
+      registry_(cfg.registry) {
   sgxsim::EnclaveConfig ecfg = cfg.enclave;
   ecfg.elrange_pages = elrange_pages;
   // Chaos attach: the injector perturbs the untrusted stack through the
@@ -69,6 +70,13 @@ RunStack::RunStack(const SimConfig& cfg, PageNum elrange_pages,
   }
   if (cfg.profiler != nullptr) {
     driver_->set_profiler(cfg.profiler);
+  }
+}
+
+void RunStack::settle() {
+  if (settle_) {
+    driver_->drain();
+    driver_->check_invariants();
   }
 }
 

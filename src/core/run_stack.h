@@ -43,6 +43,13 @@ class RunStack {
   sgxsim::Driver& driver() noexcept { return *driver_; }
   const sgxsim::Driver& driver() const noexcept { return *driver_; }
 
+  /// The one end-of-run settle step. A hardened run (channel.max_retries
+  /// > 0) may still hold lost ops awaiting their retry deadlines, and a
+  /// validating run checks the final state: either drains the channel and
+  /// runs check_invariants(), so the retry counters are final and
+  /// lost == retries + resolved + permanent. Other runs stop as they are.
+  void settle();
+
   /// The driver's and the injector's final statistics (the latter all zero
   /// without chaos), published to the registry when one is attached.
   void collect(sgxsim::DriverStats& driver, inject::InjectStats& inject) const;
@@ -53,6 +60,7 @@ class RunStack {
   void load_injector(snapshot::Reader& r);
 
  private:
+  bool settle_;
   obs::MetricsRegistry* registry_;
   std::unique_ptr<inject::FaultInjector> injector_;
   std::unique_ptr<sgxsim::Driver> driver_;
@@ -91,7 +99,7 @@ class RunSkeleton {
     SGXPL_CHECK_MSG(chain.kind == snapshot::FrameKind::kFull,
                     "save() writes full frames; deltas go through "
                     "save_delta()");
-    save_frame(w, chain, nullptr);
+    save_frame(w, chain, /*delta=*/false);
   }
   /// A standalone full frame, and its inverse: load_bytes reads a full
   /// frame of this run. It rejects delta frames (restore those through
@@ -117,22 +125,19 @@ class RunSkeleton {
   }
 
   /// Delta checkpointing: save_delta writes the same frame with sparse
-  /// deltas of only the bulk driver structures whose generation moved past
-  /// `last`. apply_delta_bytes replays such a frame on top of this run's
+  /// deltas of only the bulk driver structures that changed since the last
+  /// clear_dirty(). apply_delta_bytes replays such a frame on top of this run's
   /// current state; callers go through snapshot::restore_chain, which
   /// enforces chain linkage.
-  void save_delta(snapshot::Writer& w, const snapshot::ChainHeader& chain,
-                  const snapshot::SectionGens& last) const {
+  void save_delta(snapshot::Writer& w,
+                  const snapshot::ChainHeader& chain) const {
     SGXPL_CHECK_MSG(chain.kind == snapshot::FrameKind::kDelta,
                     "save_delta() writes delta frames; full frames go "
                     "through save()");
-    save_frame(w, chain, &last);
+    save_frame(w, chain, /*delta=*/true);
   }
   void apply_delta_bytes(const std::vector<std::uint8_t>& bytes) {
     load_frame(bytes, /*delta=*/true);
-  }
-  snapshot::SectionGens section_gens() const {
-    return self().stack().driver().section_gens();
   }
   void clear_dirty() { self().stack().driver().clear_dirty(); }
 
@@ -145,14 +150,14 @@ class RunSkeleton {
 
  private:
   void save_frame(snapshot::Writer& w, const snapshot::ChainHeader& chain,
-                  const snapshot::SectionGens* delta_since) const {
+                  bool delta) const {
     const sgxsim::Driver& driver = self().stack().driver();
     snapshot::write_frame_head(w, chain, self().meta());
     self().save_head(w);
-    if (delta_since == nullptr) {
-      driver.save_sections(w);
+    if (delta) {
+      driver.save_delta_sections(w);
     } else {
-      driver.save_delta_sections(w, *delta_since);
+      driver.save_sections(w);
     }
     self().save_tail(w);
     self().stack().save_injector(w);

@@ -72,9 +72,9 @@ struct SimConfig {
   /// accesses ahead, so the load overlaps the intervening compute and the
   /// access itself runs unmodified (faulting only if the load is late).
   std::uint32_t sip_lookahead = 0;
-  /// Run the driver's structural invariant check (page table / EPC /
-  /// bitmap agreement) after the trace completes. O(ELRANGE); meant for
-  /// tests.
+  /// Drain the channel and run the driver's structural invariant check
+  /// (page table / EPC / bitmap agreement) after the trace completes, as
+  /// hardened runs always do (RunStack::settle). Meant for tests.
   bool validate = false;
   /// Fraction of channel-busy time added to overlapping enclave compute:
   /// the encrypted page copies of ELDU/EWB contend with the application for

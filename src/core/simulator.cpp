@@ -148,10 +148,7 @@ Metrics SimulationRun::finish() {
   ensure_started();  // a zero-step finish still runs the hoisted prefix
 
   m_.total_cycles = now_;
-  if (cfg_.validate) {
-    driver().drain();
-    driver().check_invariants();
-  }
+  stack_.settle();
   stack_.collect(m_.driver, m_.inject);
   if (engine_ != nullptr) {
     fill_dfp_metrics(*engine_, m_);

@@ -101,17 +101,7 @@ void PreloadedPageList::load(snapshot::Reader& r, PageNum elrange_pages) {
   const std::uint64_t acc_preload_counter = r.u64("ppl.acc_preload_counter");
   const std::uint64_t evicted_unused = r.u64("ppl.evicted_unused");
   std::vector<std::uint64_t> pages = r.u64_vec("ppl.pages");
-  for (std::size_t i = 0; i < pages.size(); ++i) {
-    SGXPL_CHECK_MSG(pages[i] < elrange_pages,
-                    "ppl.pages[" << i << "] = " << pages[i]
-                                 << " is beyond the ELRANGE of "
-                                 << elrange_pages << " pages");
-    SGXPL_CHECK_MSG(i == 0 || pages[i - 1] < pages[i],
-                    "ppl.pages[" << i << "] = " << pages[i]
-                                 << " does not follow ppl.pages[" << i - 1
-                                 << "] = " << pages[i - 1]
-                                 << " in strictly ascending order");
-  }
+  snapshot::check_page_list(pages, elrange_pages, "ppl.pages");
   reset();
   preload_counter_ = preload_counter;
   acc_preload_counter_ = acc_preload_counter;

@@ -1130,13 +1130,13 @@ void Driver::evict_page(PageNum victim) {
 }
 
 std::string Driver::describe_page(PageNum p) const {
-  const auto& e = page_table_.entry(p);
+  const SlotIndex slot = page_table_.entry(p).slot;
   std::ostringstream os;
   os << "page " << p;
-  if (e.present) {
-    os << " is mapped to slot " << e.slot;
-    if (e.slot < epc_.capacity()) {
-      os << ", which holds page " << epc_.page_at(e.slot);
+  if (page_table_.present(p)) {
+    os << " is mapped to slot " << slot;
+    if (slot < epc_.capacity()) {
+      os << ", which holds page " << epc_.page_at(slot);
     }
   } else {
     os << " is not mapped";
@@ -1156,30 +1156,41 @@ void Driver::check_tenants(const std::vector<PageNum>& resident) const {
 }
 
 void Driver::check_invariants() const {
-  SGXPL_CHECK(page_table_.resident_count() == epc_.used());
+  const PageBits& present = page_table_.present_bits();
+  SGXPL_CHECK(present.count() == epc_.used());
   SGXPL_CHECK(bitmap_.popcount() == epc_.used());
-  std::uint64_t present = 0;
-  std::vector<PageNum> resident_by_tenant(
-      elastic_engaged_ ? elastic_.tenant_count() : 0, 0);
-  std::size_t t = 0;  // tenant cursor: the slices tile the ELRANGE in order
-  for (PageNum p = 0; p < config_.elrange_pages; ++p) {
-    SGXPL_CHECK_MSG(page_consistent(p), describe_page(p));
-    if (page_table_.entry(p).present) {
-      ++present;
-      if (elastic_engaged_) {
-        while (p >= elastic_.hi(t)) {
-          ++t;
-          SGXPL_CHECK_MSG(t < resident_by_tenant.size(),
-                          "page " << p
-                                  << " outside every elastic tenant range");
-        }
-        ++resident_by_tenant[t];
-      }
-    }
+  // 1. The bitmap mirrors the present bits word for word: ELRANGE/64 steps.
+  const PageNum differs = present.first_difference(bitmap_.bits());
+  SGXPL_CHECK_MSG(differs == present.size(), describe_page(differs));
+  // 2. Each occupied slot holds a present page that maps back to it. With
+  // as many occupied slots as present pages, every present page then sits
+  // in a slot that holds it.
+  PageNum occupied = 0;
+  for (SlotIndex s = 0; s < epc_.capacity(); ++s) {
+    const PageNum p = epc_.page_at(s);
+    if (p == kInvalidPage) continue;
+    ++occupied;
+    SGXPL_CHECK_MSG(p < present.size(),
+                    "EPC slot " << s << " holds page " << p
+                                << " outside the ELRANGE");
+    SGXPL_CHECK_MSG(present.test(p) && page_table_.entry(p).slot == s,
+                    "EPC slot " << s << " holds page " << p << ", but "
+                                << describe_page(p));
   }
-  SGXPL_CHECK(present == epc_.used());
+  SGXPL_CHECK(occupied == epc_.used());
+  // 3. Each elastic tenant's resident pages, counted over its range.
   if (elastic_engaged_) {
-    check_tenants(resident_by_tenant);
+    std::vector<PageNum> resident(elastic_.tenant_count());
+    PageNum in_tenants = 0;
+    for (std::size_t t = 0; t < resident.size(); ++t) {
+      resident[t] = present.count(elastic_.lo(t), elastic_.hi(t));
+      in_tenants += resident[t];
+    }
+    SGXPL_CHECK_MSG(in_tenants == present.count(),
+                    present.count() - in_tenants
+                        << " resident pages lie outside every elastic "
+                           "tenant range");
+    check_tenants(resident);
   }
 }
 
@@ -1439,27 +1450,26 @@ void Driver::load_sections(snapshot::Reader& r) {
   full_sweep();
 }
 
-void Driver::save_delta_sections(snapshot::Writer& w,
-                                 const snapshot::SectionGens& last) const {
+void Driver::save_delta_sections(snapshot::Writer& w) const {
   w.begin_section("DRVR");
   save_drvr_fields(w);
   w.end_section();
-  if (page_table_.generation() != last.page_table) {
+  if (page_table_.changed()) {
     w.begin_section("PGTD");
     page_table_.save_delta(w);
     w.end_section();
   }
-  if (epc_.generation() != last.epc) {
+  if (epc_.changed()) {
     w.begin_section("EPCD");
     epc_.save_delta(w);
     w.end_section();
   }
-  if (bitmap_.generation() != last.bitmap) {
+  if (bitmap_.changed()) {
     w.begin_section("BMPD");
     bitmap_.save_delta(w);
     w.end_section();
   }
-  if (backing_.generation() != last.backing) {
+  if (backing_.changed()) {
     w.begin_section("BSTD");
     backing_.save_delta(w);
     w.end_section();
@@ -1492,15 +1502,6 @@ void Driver::apply_delta_sections(snapshot::Reader& r) {
     r.leave_section();
   }
   full_sweep();
-}
-
-snapshot::SectionGens Driver::section_gens() const {
-  return snapshot::SectionGens{
-      .page_table = page_table_.generation(),
-      .epc = epc_.generation(),
-      .bitmap = bitmap_.generation(),
-      .backing = backing_.generation(),
-  };
 }
 
 void Driver::clear_dirty() {

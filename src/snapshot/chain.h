@@ -3,8 +3,8 @@
 // A chain is one full base frame plus zero or more delta frames stacked on
 // it. The Snapshotter decides per checkpoint whether to emit a base or a
 // delta (CheckpointOptions::full_every bounds the chain length), stamps the
-// CHNH chain header, and tracks the per-structure generation counters that
-// let a delta skip sections whose state did not move.
+// CHNH chain header, and clears the run's dirty tracking after every frame,
+// so a delta skips the sections whose state did not move since the last.
 //
 // probe_chain() is the only code that checks a chain's linkage:
 //
@@ -87,12 +87,11 @@ struct ChainFrame {
 
 /// Emits the checkpoint stream for one run: a full base every `full_every`
 /// checkpoints, deltas in between. Owns the chain bookkeeping (chain id,
-/// sequence numbers, previous-frame CRC, last-checkpoint generation
-/// counters) and clears the run's dirty tracking after every frame.
+/// sequence numbers, previous-frame CRC) and clears the run's dirty
+/// tracking after every frame.
 ///
 /// Requires of `Run`: save(Writer&, const ChainHeader&),
-/// save_delta(Writer&, const ChainHeader&, const SectionGens&),
-/// section_gens(), clear_dirty(), meta().
+/// save_delta(Writer&, const ChainHeader&), clear_dirty(), meta().
 template <class Run>
 class Snapshotter {
  public:
@@ -116,11 +115,10 @@ class Snapshotter {
       f.header = ChainHeader{
           .kind = FrameKind::kDelta, .chain_id = chain_id_, .seq = ++seq_,
           .prev_crc = prev_crc_};
-      run.save_delta(w, f.header, last_gens_);
+      run.save_delta(w, f.header);
     }
     f.bytes = w.finish();
     prev_crc_ = crc32c(f.bytes.data(), f.bytes.size());
-    last_gens_ = run.section_gens();
     run.clear_dirty();
     ++emitted_;
     if (full) {
@@ -155,7 +153,6 @@ class Snapshotter {
   std::uint64_t seq_ = 0;
   std::uint64_t chain_id_ = 0;
   std::uint32_t prev_crc_ = 0;
-  SectionGens last_gens_{};
   std::uint64_t delta_frames_ = 0;
   std::uint64_t full_bytes_ = 0;
   std::uint64_t delta_bytes_ = 0;

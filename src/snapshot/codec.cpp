@@ -864,6 +864,20 @@ std::vector<std::uint64_t> decode_runs(const std::vector<std::uint64_t>& runs,
   return ids;
 }
 
+void check_page_list(const std::vector<std::uint64_t>& pages,
+                     std::uint64_t limit, std::string_view label) {
+  for (std::size_t i = 0; i < pages.size(); ++i) {
+    SGXPL_CHECK_MSG(pages[i] < limit, label << "[" << i << "] = " << pages[i]
+                                            << " is beyond the ELRANGE of "
+                                            << limit << " pages");
+    SGXPL_CHECK_MSG(i == 0 || pages[i - 1] < pages[i],
+                    label << "[" << i << "] = " << pages[i]
+                          << " does not follow " << label << "[" << i - 1
+                          << "] = " << pages[i - 1]
+                          << " in strictly ascending order");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // RunMeta
 // ---------------------------------------------------------------------------

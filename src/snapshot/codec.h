@@ -268,6 +268,11 @@ std::vector<std::uint64_t> encode_runs(const std::vector<std::uint64_t>& ids);
 std::vector<std::uint64_t> decode_runs(const std::vector<std::uint64_t>& runs,
                                        std::uint64_t limit,
                                        std::string_view what);
+/// Validate a page list read from a snapshot: strictly ascending (so
+/// duplicate-free) and every page below `limit`, the ELRANGE size. `label`
+/// names the field; a rejection reads "<label>[i] = <page> ...".
+void check_page_list(const std::vector<std::uint64_t>& pages,
+                     std::uint64_t limit, std::string_view label);
 
 /// Identifying metadata written as a snapshot's first section ("META") so a
 /// restore can verify it is being applied to a compatible run before any

@@ -163,13 +163,13 @@ class ModelStore {
  public:
   std::uint64_t evict(PageNum page) {
     ++total_evictions_;
-    ++gen_;
+    changed_ = true;
     dirty_.insert(page);
     return ++versions_[page];
   }
   std::uint64_t load(PageNum page) {
     ++total_loads_;
-    ++gen_;
+    changed_ = true;
     return eviction_count(page);
   }
   std::uint64_t eviction_count(PageNum page) const {
@@ -178,7 +178,7 @@ class ModelStore {
   }
   std::uint64_t total_evictions() const { return total_evictions_; }
   std::uint64_t total_loads() const { return total_loads_; }
-  std::uint64_t generation() const { return gen_; }
+  bool changed() const { return changed_; }
 
   void save(Writer& w) const {
     std::vector<std::uint64_t> pages;
@@ -197,7 +197,10 @@ class ModelStore {
   void apply_delta(Reader& r) {
     apply(r, "backing.delta_pages", "backing.delta_versions");
   }
-  void clear_dirty() { dirty_.clear(); }
+  void clear_dirty() {
+    dirty_.clear();
+    changed_ = false;
+  }
 
  private:
   void write(Writer& w, const char* pages_label, const char* versions_label,
@@ -218,14 +221,14 @@ class ModelStore {
       versions_[pages[i]] = versions[i];
       dirty_.insert(pages[i]);
     }
-    ++gen_;
+    changed_ = true;
   }
 
   std::map<PageNum, std::uint64_t> versions_;
   std::set<PageNum> dirty_;
   std::uint64_t total_evictions_ = 0;
   std::uint64_t total_loads_ = 0;
-  std::uint64_t gen_ = 0;
+  bool changed_ = false;
 };
 
 constexpr PageNum kModelPages = 48;
@@ -235,7 +238,7 @@ void expect_same(const BackingStore& bs, const ModelStore& model,
   SCOPED_TRACE(testing::Message() << which << " seed " << seed << " op " << op);
   ASSERT_EQ(bs.total_evictions(), model.total_evictions());
   ASSERT_EQ(bs.total_loads(), model.total_loads());
-  ASSERT_EQ(bs.generation(), model.generation());
+  ASSERT_EQ(bs.changed(), model.changed());
   for (PageNum page = 0; page < kModelPages; ++page) {
     ASSERT_EQ(bs.eviction_count(page), model.eviction_count(page))
         << "page " << page;

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <set>
+#include <vector>
+
 #include "common/check.h"
+#include "common/rng.h"
+#include "sgxsim/page_bits.h"
 #include "snapshot/codec.h"
 
 namespace sgxpl::sgxsim {
@@ -90,6 +97,90 @@ TEST(PresenceBitmap, RestoresRecountThePopulation) {
 
 TEST(PresenceBitmap, RejectsZeroPages) {
   EXPECT_THROW(PresenceBitmap(0), CheckFailure);
+}
+
+// --- The page-bitset layer ---------------------------------------------------
+
+std::vector<std::uint64_t> walk(const PageBits& bits) {
+  std::vector<std::uint64_t> out;
+  bits.for_each([&out](std::uint64_t i) { out.push_back(i); });
+  return out;
+}
+
+TEST(PageBits, MatchesAStdSetModelOnRandomOperations) {
+  // Sizes on and off a 64-bit word boundary.
+  for (const std::uint64_t size :
+       std::vector<std::uint64_t>{1, 5, 63, 64, 65, 128, 200, 1000}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(testing::Message() << "size " << size << " seed " << seed);
+      Rng rng(seed * 7919 + size);
+      PageBits bits(size);
+      std::set<std::uint64_t> model;
+      for (int op = 0; op < 3000; ++op) {
+        const std::uint64_t i = rng.bounded(size);
+        const std::uint64_t roll = rng.bounded(100);
+        if (roll < 45) {
+          ASSERT_EQ(bits.set(i), model.insert(i).second);
+        } else if (roll < 85) {
+          ASSERT_EQ(bits.clear(i), model.erase(i) == 1);
+        } else if (roll < 99) {
+          const std::uint64_t lo = rng.bounded(size + 1);
+          const std::uint64_t hi = lo + rng.bounded(size + 1 - lo);
+          ASSERT_EQ(bits.count(lo, hi),
+                    static_cast<std::uint64_t>(std::distance(
+                        model.lower_bound(lo), model.lower_bound(hi))))
+              << "[" << lo << ", " << hi << ")";
+        } else {
+          bits.clear_all();
+          model.clear();
+        }
+        ASSERT_EQ(bits.count(), model.size());
+        ASSERT_EQ(bits.test(i), model.count(i) == 1);
+        if (op % 100 == 0) {
+          ASSERT_EQ(walk(bits),
+                    std::vector<std::uint64_t>(model.begin(), model.end()));
+        }
+      }
+      EXPECT_EQ(walk(bits),
+                std::vector<std::uint64_t>(model.begin(), model.end()));
+      EXPECT_EQ(bits.count(0, size), model.size());
+
+      // Word-wise equality against a copy rebuilt from the model, then the
+      // first difference after flipping one bit of the copy.
+      PageBits copy(size);
+      for (const std::uint64_t i : model) copy.set(i);
+      EXPECT_EQ(bits.first_difference(copy), size);
+      const std::uint64_t flip = rng.bounded(size);
+      if (!copy.clear(flip)) copy.set(flip);
+      EXPECT_EQ(bits.first_difference(copy), flip);
+      EXPECT_EQ(copy.first_difference(bits), flip);
+    }
+  }
+}
+
+TEST(PageBits, RestoredWordsKeepTheCount) {
+  PageBits bits(100);
+  bits.set(3);
+  bits.set_word(0, 0xF0);
+  bits.set_word(1, 1ull << 35);  // page 99
+  EXPECT_EQ(bits.count(), 5u);
+  EXPECT_EQ(walk(bits), (std::vector<std::uint64_t>{4, 5, 6, 7, 99}));
+}
+
+TEST(DirtyBits, ChangedTracksMarksAndScalarsUntilCleared) {
+  DirtyBits dirty(70);
+  EXPECT_FALSE(dirty.changed());
+  dirty.mark(69);
+  dirty.mark(69);
+  EXPECT_TRUE(dirty.changed());
+  EXPECT_EQ(walk(dirty.bits()), std::vector<std::uint64_t>{69});
+  dirty.clear();
+  EXPECT_FALSE(dirty.changed());
+  dirty.mark_scalar();
+  EXPECT_TRUE(dirty.changed());
+  EXPECT_EQ(dirty.bits().count(), 0u);
+  dirty.clear();
+  EXPECT_FALSE(dirty.changed());
 }
 
 }  // namespace

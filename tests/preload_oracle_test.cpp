@@ -398,10 +398,9 @@ TEST(PreloadOracle, DirectEventsMatchTheWholeSetWalk) {
     SlotIndex next_slot = 0;
     for (int op = 0; op < 20'000; ++op) {
       const PageNum page = rng.bounded(kPages);
-      const auto& e = pt.entry(page);
       switch (rng.bounded(6)) {
         case 0:  // a preload or a demand load lands
-          if (!e.present) {
+          if (!pt.present(page)) {
             const bool preload = rng.chance(0.7);
             pt.map(page, next_slot++, preload);
             if (preload) {
@@ -413,18 +412,18 @@ TEST(PreloadOracle, DirectEventsMatchTheWholeSetWalk) {
           break;
         case 1:
         case 2:  // an access
-          if (e.present && pt.touch(page) &&
+          if (pt.present(page) && pt.touch(page) &&
               (!loaded_since_scan[page] || rng.chance(0.5))) {
             real.on_touched(page);
           }
           break;
         case 3:  // CLOCK consumes the access bit
-          if (e.present) {
+          if (pt.present(page)) {
             pt.test_and_clear_accessed(page);
           }
           break;
         case 4:  // eviction
-          if (e.present && pt.unmap(page).preloaded) {
+          if (pt.present(page) && pt.unmap(page).preloaded) {
             real.on_evicted(page);
             ref.on_evicted(page);
           }

@@ -15,6 +15,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/multi_enclave.h"
+#include "core/multi_thread.h"
 #include "core/simulator.h"
 #include "inject/chaos_plan.h"
 #include "obs/metrics.h"
@@ -664,6 +665,49 @@ TEST(Extraction, RefusesFramesThatHoldNoTenantSections) {
   const auto delta = snap.checkpoint(multi);
   ASSERT_EQ(delta.header.kind, snapshot::FrameKind::kDelta);
   EXPECT_THROW(snapshot::extract_enclave(delta.bytes, 0), CheckFailure);
+}
+
+/// A hardened run that does not validate: DFP-stop over a bounded queue,
+/// with 30% of completions dropped and up to three retries.
+SimConfig hardened_without_validate(std::uint64_t chaos_seed) {
+  SimConfig cfg = small_config(Scheme::kDfpStop);
+  cfg.validate = false;
+  cfg.enclave.channel.max_queued = 12;
+  cfg.enclave.channel.max_retries = 3;
+  cfg.chaos = *inject::ChaosPlan::parse("drop-completion:0.3");
+  cfg.chaos.seed = chaos_seed;
+  return cfg;
+}
+
+void expect_retries_balance(const sgxsim::DriverStats& d, const char* run) {
+  EXPECT_GT(d.lost_completions, 0u) << run;
+  EXPECT_EQ(d.lost_completions,
+            d.retries + d.retries_resolved + d.permanent_faults)
+      << run;
+}
+
+// Every run settles at finish: a lost op still waiting on its retry
+// deadline is resolved before the counters are reported, whether or not
+// the run validates. The seeds are ones where an unsettled single run and
+// an unsettled threaded run each end with a lost op still pending.
+TEST(Settle, HardenedRunsBalanceTheirRetryCountersWithoutValidate) {
+  const SimConfig cfg = hardened_without_validate(inject::ChaosPlan{}.seed);
+  const auto t = mixed_trace(17);
+  const auto u = mixed_trace(117);
+  SimulationRun single(cfg, t);
+  expect_retries_balance(single.run_to_end().driver, "single");
+  core::MultiEnclaveSimulator multi(cfg);
+  expect_retries_balance(
+      multi
+          .run({core::EnclaveApp{&t, Scheme::kDfpStop, nullptr},
+                core::EnclaveApp{&u, Scheme::kDfpStop, nullptr}})
+          .driver,
+      "co-run");
+  const auto a = mixed_trace(38);
+  const auto b = mixed_trace(138);
+  expect_retries_balance(
+      core::run_threads(hardened_without_validate(38), {&a, &b}).driver,
+      "threaded");
 }
 
 }  // namespace
