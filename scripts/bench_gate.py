@@ -21,6 +21,11 @@ Usage:
   bench_gate.py determinism A.json B.json
     Two same-seed runs must agree exactly on every cycles.* scalar.
     Exit 1 on any mismatch.
+
+  bench_gate.py trend [FILE.json ...] [--repo-root DIR]
+    Print every scalar across result files, one row per key and one column
+    per file: by default every BENCH_*.json at the repo root in number
+    order, then any FILE given. A key a file lacks shows as a blank cell.
 """
 
 import argparse
@@ -39,13 +44,19 @@ def load_scalars(path):
     return scalars
 
 
-def latest_baseline(repo_root):
-    best, best_n = None, -1
+def bench_files(repo_root):
+    """The committed BENCH_<n>.json files, in ascending n."""
+    numbered = []
     for p in Path(repo_root).glob("BENCH_*.json"):
         m = re.fullmatch(r"BENCH_(\d+)\.json", p.name)
-        if m and int(m.group(1)) > best_n:
-            best, best_n = p, int(m.group(1))
-    return best
+        if m:
+            numbered.append((int(m.group(1)), p))
+    return [p for _, p in sorted(numbered)]
+
+
+def latest_baseline(repo_root):
+    files = bench_files(repo_root)
+    return files[-1] if files else None
 
 
 def cycles_keys(scalars):
@@ -128,6 +139,25 @@ def cmd_determinism(args):
     return 0
 
 
+def cmd_trend(args):
+    paths = bench_files(args.repo_root) + [Path(f) for f in args.files]
+    if not paths:
+        print(f"bench_gate: no BENCH_*.json under {args.repo_root}")
+        return 1
+    columns = [load_scalars(p) for p in paths]
+    keys = sorted(set().union(*columns))
+    names = [p.stem for p in paths]
+    key_w = max(len("key"), *(len(k) for k in keys))
+    widths = [max(len(n), 10) for n in names]
+    print("  ".join(["key".ljust(key_w)] +
+                    [n.rjust(w) for n, w in zip(names, widths)]))
+    for key in keys:
+        cells = [f"{col[key]:.4g}" if key in col else "" for col in columns]
+        print("  ".join([key.ljust(key_w)] +
+                        [c.rjust(w) for c, w in zip(cells, widths)]))
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -148,6 +178,15 @@ def main():
     p.add_argument("a")
     p.add_argument("b")
     p.set_defaults(fn=cmd_determinism)
+
+    p = sub.add_parser("trend",
+                       help="every scalar across the BENCH_*.json files")
+    p.add_argument("files", nargs="*",
+                   help="extra result files, appended after the BENCH files")
+    p.add_argument("--repo-root", default=".",
+                   help="where to look for committed BENCH_*.json "
+                        "(default: cwd)")
+    p.set_defaults(fn=cmd_trend)
 
     args = parser.parse_args()
     sys.exit(args.fn(args))
