@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
 #include "sgxsim/chaos_hooks.h"
+#include "snapshot/codec.h"
 
 namespace sgxpl::sgxsim {
 namespace {
@@ -672,6 +676,144 @@ TEST(Driver, InvariantsHoldUnderRandomWorkload) {
   d.drain();
   d.check_invariants();
   EXPECT_EQ(d.stats().accesses, access_calls);
+}
+
+// --- The full sweep on restore ----------------------------------------------
+// load_sections() ends in check_invariants(), so a frame whose page state
+// disagrees is refused. Each corruption below keeps every O(1) count
+// consistent, so exactly one of the full sweep's checks can see it.
+
+constexpr PageNum kTenantPages = 256;
+
+EnclaveConfig elastic_enclave() {
+  EnclaveConfig cfg = small_enclave(2 * kTenantPages, 96);
+  cfg.elastic.enabled = true;
+  return cfg;
+}
+
+std::unique_ptr<Driver> elastic_driver() {
+  auto d = std::make_unique<Driver>(elastic_enclave(), test_costs());
+  d->set_elastic_geometry({{0, kTenantPages}, {kTenantPages, kTenantPages}});
+  return d;
+}
+
+/// Re-emit `frame` with edit(section tag, field) applied to every field.
+template <class Edit>
+std::vector<std::uint8_t> rewrite(const std::vector<std::uint8_t>& frame,
+                                  Edit edit) {
+  snapshot::Reader r(frame);
+  snapshot::Writer w;
+  for (std::uint32_t s = 0; s < r.section_count(); ++s) {
+    const std::string tag = r.enter_any_section();
+    w.begin_section(tag);
+    while (r.more_fields()) {
+      snapshot::FieldView f = r.next_field();
+      edit(tag, f);
+      w.field(f);
+    }
+    r.leave_section();
+    w.end_section();
+  }
+  return w.finish();
+}
+
+void load(Driver& d, const std::vector<std::uint8_t>& frame) {
+  snapshot::Reader r(frame);
+  d.load_sections(r);
+}
+
+TEST(FullSweep, RefusesRestoredPageStateThatDisagrees) {
+  auto src = elastic_driver();
+  Rng rng(5);
+  Cycles now = 0;
+  for (int i = 0; i < 2'000; ++i) {
+    const std::uint64_t t = rng.bounded(2);
+    const PageNum page = t * kTenantPages + rng.bounded(kTenantPages);
+    now = src->access(page, now, static_cast<ProcessId>(t)).completion + 3'000;
+  }
+  snapshot::Writer w;
+  src->save_sections(w);
+  const std::vector<std::uint8_t> frame = w.finish();
+  ASSERT_NO_THROW(load(*elastic_driver(), frame));
+
+  // Two resident pages of tenant 0 in their slots, and an absent one.
+  const PageTable& pt = src->page_table();
+  std::vector<PageNum> resident;
+  PageNum absent = kInvalidPage;
+  for (PageNum p = 0; p < kTenantPages; ++p) {
+    if (pt.present(p)) {
+      resident.push_back(p);
+    } else if (absent == kInvalidPage) {
+      absent = p;
+    }
+  }
+  ASSERT_GE(resident.size(), 2u);
+  ASSERT_NE(absent, kInvalidPage);
+  const PageNum q = resident[0];
+  const PageNum q2 = resident[1];
+  const std::uint64_t s = pt.entry(q).slot;
+  const std::uint64_t s2 = pt.entry(q2).slot;
+  const auto flip = [](std::vector<std::uint64_t>& words, PageNum p) {
+    words[p / 64] ^= 1ull << (p % 64);
+  };
+
+  // 1. A bitmap bit moved from q to the absent page: the word compare.
+  EXPECT_THROW(load(*elastic_driver(),
+                    rewrite(frame,
+                            [&](const std::string&, snapshot::FieldView& f) {
+                              if (f.label == "bitmap.words") {
+                                flip(f.vecv, q);
+                                flip(f.vecv, absent);
+                              }
+                            })),
+               CheckFailure);
+  // 2. Two slots swap their pages: the slot walk's back-pointer check.
+  EXPECT_THROW(load(*elastic_driver(),
+                    rewrite(frame,
+                            [&](const std::string&, snapshot::FieldView& f) {
+                              if (f.label == "epc.slot_to_page") {
+                                std::swap(f.vecv[s], f.vecv[s2]);
+                              }
+                            })),
+               CheckFailure);
+  // 3. Residency, present bit and bitmap bit moved from q to the absent
+  // page, which claims q's slot while q's entry still names it: the slot
+  // walk's present check.
+  EXPECT_THROW(
+      load(*elastic_driver(),
+           rewrite(frame,
+                   [&](const std::string&, snapshot::FieldView& f) {
+                     if (f.label == "pt.entries") {
+                       f.vecv[q] = pack_entry(pt.entry(q), false);
+                       f.vecv[absent] = pack_entry(
+                           PageTableEntry{.slot = static_cast<SlotIndex>(s)},
+                           true);
+                     } else if (f.label == "bitmap.words") {
+                       flip(f.vecv, q);
+                       flip(f.vecv, absent);
+                     }
+                   })),
+      CheckFailure);
+  // 4. q's slot marked free in the slot map but not in the free list: the
+  // occupied-slot count.
+  EXPECT_THROW(load(*elastic_driver(),
+                    rewrite(frame,
+                            [&](const std::string&, snapshot::FieldView& f) {
+                              if (f.label == "epc.slot_to_page") {
+                                f.vecv[s] = kInvalidPage;
+                              }
+                            })),
+               CheckFailure);
+  // 5. A resident page credited to the other tenant: the range counts.
+  EXPECT_THROW(load(*elastic_driver(),
+                    rewrite(frame,
+                            [&](const std::string&, snapshot::FieldView& f) {
+                              if (f.label == "el.resident") {
+                                --f.vecv[0];
+                                ++f.vecv[1];
+                              }
+                            })),
+               CheckFailure);
 }
 
 }  // namespace
