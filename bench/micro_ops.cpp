@@ -1,9 +1,12 @@
 // google-benchmark micro-benchmarks of the building blocks on the hot
 // paths: Algorithm 1's predictor update, the presence-bitmap check
 // (BIT_MAP_CHECK's cost on our side of the simulation), the driver's
-// resident and fault paths, and end-to-end simulator throughput. Pass
-// --benchmark_repetitions=N for a median and spread per case.
+// resident and fault paths, the run loop over resident accesses, and
+// end-to-end simulator throughput. Pass --benchmark_repetitions=N for a
+// median and spread per case.
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "common/rng.h"
 #include "core/simulator.h"
@@ -99,6 +102,43 @@ void BM_DriverResidentPath(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DriverResidentPath);
+
+void BM_SimulationRunResidentLoop(benchmark::State& state) {
+  // The same all-resident enclave replayed as a trace: a first lap faults
+  // every page in (untimed), then run_to_end() replays 63 resident laps with
+  // a 100-cycle gap, so a scan tick falls every 5,000 accesses. Reports ns
+  // per access of the run loop (SimulationRun, not the driver alone).
+  constexpr PageNum kPages = 4096;
+  constexpr std::uint64_t kLaps = 64;
+  trace::Trace t("resident-loop", kPages);
+  t.reserve(kPages * kLaps);
+  for (std::uint64_t lap = 0; lap < kLaps; ++lap) {
+    for (PageNum p = 0; p < kPages; ++p) {
+      t.append({.page = p, .site = 0, .gap = 100});
+    }
+  }
+  core::SimConfig cfg = core::paper_platform(core::Scheme::kBaseline);
+  cfg.enclave.epc_pages = kPages;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto run = std::make_unique<core::SimulationRun>(cfg, t);
+    while (run->cursor() < kPages) {
+      run->step();
+    }
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(run->run_to_end());
+    state.PauseTiming();
+    run.reset();
+    state.ResumeTiming();
+  }
+  constexpr auto kTimed = static_cast<std::int64_t>(kPages * (kLaps - 1));
+  state.SetItemsProcessed(state.iterations() * kTimed);
+  state.counters["s_per_access"] = benchmark::Counter(
+      static_cast<double>(kTimed),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SimulationRunResidentLoop);
 
 void BM_SimulatorThroughput(benchmark::State& state) {
   const auto* w = trace::find_workload("deepsjeng");

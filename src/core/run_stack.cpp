@@ -131,7 +131,11 @@ auto run_checkpointed(Run& run, const SimConfig& cfg)
   const bool checkpointing = ck.every_accesses > 0 && !ck.path.empty();
   snapshot::Snapshotter<Run> snap(ck.full_every);
   while (!run.done()) {
-    run.step();
+    // Up to the next checkpoint, which falls after every step that makes
+    // steps() a multiple of every_accesses.
+    run.advance(checkpointing
+                    ? (run.steps() / ck.every_accesses + 1) * ck.every_accesses
+                    : Run::kAllSteps);
     if (checkpointing && run.steps() % ck.every_accesses == 0) {
       obs::ScopedSpan span(cfg.profiler, obs::Phase::kSnapshotSave);
       const auto t0 = std::chrono::steady_clock::now();

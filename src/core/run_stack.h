@@ -84,11 +84,23 @@ class RunStack {
 template <class Run>
 class RunSkeleton {
  public:
-  /// step() until done(), then finish().
-  auto run_to_end() {
-    while (!self().done()) {
+  /// No bound: advance() to the end of the run.
+  static constexpr std::uint64_t kAllSteps = ~std::uint64_t{0};
+
+  /// step() while !done() and steps() < steps_bound; returns the number of
+  /// steps taken. The scheduling unit of run_to_end() and of the checkpoint
+  /// loop; `Run` may hide it with a faster loop that ends in the same state.
+  std::uint64_t advance(std::uint64_t steps_bound) {
+    const std::uint64_t from = self().steps();
+    while (!self().done() && self().steps() < steps_bound) {
       self().step();
     }
+    return self().steps() - from;
+  }
+
+  /// advance() until done(), then finish().
+  auto run_to_end() {
+    self().advance(kAllSteps);
     return self().finish();
   }
 

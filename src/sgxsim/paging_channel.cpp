@@ -248,6 +248,9 @@ std::optional<ChannelOp> PagingChannel::find(PageNum page) const {
 }
 
 Cycles PagingChannel::completion_time() const noexcept {
+  if (serial_) {
+    return queue_.empty() ? 0 : queue_.back().end;
+  }
   Cycles end = 0;
   for (const auto& op : queue_) {
     end = std::max(end, op.end);
@@ -268,15 +271,6 @@ Cycles PagingChannel::busy_overlap(Cycles a, Cycles b) const noexcept {
     }
   }
   return busy;
-}
-
-bool PagingChannel::idle(Cycles now) const noexcept {
-  for (const auto& op : queue_) {
-    if (op.end > now) {
-      return false;
-    }
-  }
-  return true;
 }
 
 void PagingChannel::save(snapshot::Writer& w) const {
@@ -343,6 +337,13 @@ void PagingChannel::load(snapshot::Reader& r) {
     SGXPL_CHECK_MSG(kinds[i] <= static_cast<std::uint64_t>(OpKind::kSipLoad),
                     "snapshot channel op " << ids[i] << " has invalid kind "
                                            << kinds[i]);
+    // The serial queue is packed: each op starts once its predecessor has
+    // ended, which completion_time() and next_due() rely on.
+    SGXPL_CHECK_MSG(starts[i] < ends[i] &&
+                        (!serial_ || i == 0 || ends[i - 1] <= starts[i]),
+                    "snapshot channel op " << ids[i] << " [" << starts[i]
+                                           << ", " << ends[i]
+                                           << ") breaks the queue order");
     ChannelOp op;
     op.id = ids[i];
     op.page = pages[i];

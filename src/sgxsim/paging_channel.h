@@ -152,13 +152,22 @@ class PagingChannel {
   /// advance, so reusing the buffer avoids an allocation per advance).
   const std::vector<ChannelOp>& collect_completed(Cycles now);
 
-  /// False when collect_completed(now) would certainly return nothing: the
-  /// queue is empty or, on the serial channel, its head ends after `now`.
+  /// The earliest `now` at which collect_completed(now) can return an op:
+  /// the head's end on the serial channel, 0 on a non-empty parallel
+  /// channel (any op may end first), and never on an empty one. The
+  /// driver's event horizon is the smaller of this and its next scan.
+  Cycles next_due() const noexcept {
+    if (queue_.empty()) {
+      return kNeverDue;
+    }
+    return serial_ ? queue_.front().end : 0;
+  }
+  static constexpr Cycles kNeverDue = ~Cycles{0};
+
+  /// False when collect_completed(now) would certainly return nothing.
   /// Lets the driver skip the harvest on the many clock advances that fall
   /// between completions.
-  bool completion_due(Cycles now) const noexcept {
-    return !queue_.empty() && (!serial_ || queue_.front().end <= now);
-  }
+  bool completion_due(Cycles now) const noexcept { return next_due() <= now; }
 
   /// Abort every op that has not started by `now` (start > now). In-flight
   /// and completed ops are untouched. Returns the aborted ops.
@@ -175,9 +184,12 @@ class PagingChannel {
   /// true if an op was removed.
   bool cancel_not_started(PageNum page, Cycles now);
 
-  bool idle(Cycles now) const noexcept;
+  /// No op ends after `now`.
+  bool idle(Cycles now) const noexcept { return completion_time() <= now; }
 
-  /// Latest end time over all queued ops (0 if the queue is empty).
+  /// Latest end time over all queued ops (0 if the queue is empty). O(1) on
+  /// the serial channel, whose queue is ascending and packed, so the last op
+  /// ends last; the parallel ablation walks the queue.
   Cycles completion_time() const noexcept;
 
   /// Cycles within [a, b) during which the channel is busy with queued or
