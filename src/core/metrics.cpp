@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "common/check.h"
 #include "snapshot/codec.h"
 
 namespace sgxpl::core {
@@ -27,7 +28,7 @@ double Metrics::normalized_to(const Metrics& baseline) const noexcept {
 std::string Metrics::describe() const {
   std::ostringstream oss;
   oss << "Metrics{total=" << total_cycles << ", compute=" << compute_cycles
-      << ", contention=" << contention_cycles << ", accesses=" << accesses
+      << ", accesses=" << accesses
       << ", faults=" << enclave_faults << ", sip_checks=" << sip_checks
       << ", sip_requests=" << sip_requests
       << ", dfp{preloaded=" << dfp_preload_counter
@@ -43,7 +44,9 @@ std::string Metrics::describe() const {
 void Metrics::save(snapshot::Writer& w) const {
   w.u64("metrics.total_cycles", total_cycles);
   w.u64("metrics.compute_cycles", compute_cycles);
-  w.u64("metrics.contention_cycles", contention_cycles);
+  // Channel contention is no longer modelled; frames keep its 0 so their
+  // bytes do not change.
+  w.u64("metrics.contention_cycles", 0);
   w.u64("metrics.accesses", accesses);
   w.u64("metrics.enclave_faults", enclave_faults);
   w.u64("metrics.sip_checks", sip_checks);
@@ -63,7 +66,9 @@ void Metrics::save(snapshot::Writer& w) const {
 void Metrics::load(snapshot::Reader& r) {
   total_cycles = r.u64("metrics.total_cycles");
   compute_cycles = r.u64("metrics.compute_cycles");
-  contention_cycles = r.u64("metrics.contention_cycles");
+  SGXPL_CHECK_MSG(r.u64("metrics.contention_cycles") == 0,
+                  "frame carries channel-contention cycles, which this "
+                  "simulator no longer models");
   accesses = r.u64("metrics.accesses");
   enclave_faults = r.u64("metrics.enclave_faults");
   sip_checks = r.u64("metrics.sip_checks");

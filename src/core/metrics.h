@@ -14,10 +14,8 @@ namespace sgxpl::core {
 struct Metrics {
   /// Virtual time at which the application finished the trace.
   Cycles total_cycles = 0;
-  /// Pure compute portion (sum of trace gaps after contention inflation).
+  /// Pure compute portion (sum of trace gaps).
   Cycles compute_cycles = 0;
-  /// Extra compute cycles caused by channel/memory contention.
-  Cycles contention_cycles = 0;
 
   std::uint64_t accesses = 0;
   std::uint64_t enclave_faults = 0;

@@ -1,7 +1,6 @@
 #include "core/multi_enclave.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/check.h"
 #include "dfp/dfp_engine.h"
@@ -57,6 +56,15 @@ class PerEnclavePolicy final : public sgxsim::PreloadPolicy {
     }
   }
 
+  void on_preloads_shed(const std::vector<PageNum>& pages,
+                        Cycles now) override {
+    for (const PageNum p : pages) {
+      if (auto* s = owner(p); s != nullptr && s->engine != nullptr) {
+        s->engine->on_preloads_shed({p}, now);
+      }
+    }
+  }
+
   void on_preloaded_page_evicted(PageNum page, bool was_accessed,
                                  Cycles now) override {
     if (auto* s = owner(page); s != nullptr && s->engine != nullptr) {
@@ -98,15 +106,14 @@ class PerEnclavePolicy final : public sgxsim::PreloadPolicy {
   std::vector<Slot> slots_;
 };
 
-struct AppState {
-  std::size_t cursor = 0;
-  Cycles now = 0;
+/// A tenant's control-plane state beside its replay. `done` is set when the
+/// replay ends or the tenant retires after a migration; `paused` freezes its
+/// clock for a migration stop-and-copy and is never serialized (a carved
+/// tenant resumes unpaused on its destination, and the frozen host frame
+/// format cannot grow a field).
+struct TenantFlags {
   bool done = false;
-  /// Clock frozen for a migration stop-and-copy. Control-plane state only:
-  /// never serialized (a carved tenant resumes unpaused on its destination,
-  /// and the frozen host frame format cannot grow a field).
   bool paused = false;
-  Metrics metrics;
 };
 
 /// Disjoint offsets of the enclaves' ELRANGEs in the combined page space.
@@ -136,10 +143,28 @@ std::unique_ptr<PerEnclavePolicy> make_policy(
     if (uses_sip(apps[i].scheme)) {
       SGXPL_CHECK_MSG(apps[i].plan != nullptr,
                       "SIP scheme needs a plan (enclave " << i << ")");
+      SGXPL_CHECK_MSG(cfg.sip_lookahead == 0,
+                      "sip_lookahead " << cfg.sip_lookahead << " given, but a "
+                      "co-run's SIP checks are conservative only (enclave "
+                                       << i << " runs SIP); use 0");
     }
     slots.push_back(std::move(slot));
   }
   return std::make_unique<PerEnclavePolicy>(std::move(slots));
+}
+
+/// One replay per tenant, each at its ELRANGE offset and keyed by its
+/// index as ProcessId.
+std::vector<Replay> tenant_replays(const std::vector<EnclaveApp>& apps,
+                                   const std::vector<PageNum>& offset) {
+  std::vector<Replay> streams(apps.size());
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    streams[i].trace = apps[i].trace;
+    streams[i].plan = uses_sip(apps[i].scheme) ? apps[i].plan : nullptr;
+    streams[i].offset = offset[i];
+    streams[i].pid = ProcessId{static_cast<std::uint32_t>(i)};
+  }
+  return streams;
 }
 
 }  // namespace
@@ -151,20 +176,21 @@ struct MultiEnclaveRun::Impl {
         offset(elrange_offsets(apps)),
         combined_pages(offset.back() + apps.back().trace->elrange_pages()),
         policy(make_policy(cfg, apps, offset)),
-        state(apps.size()) {}
+        streams(tenant_replays(apps, offset)),
+        flags(apps.size()) {}
 
-  /// One tenant's state; throws for an enclave this co-run does not hold.
-  AppState& tenant(std::size_t enclave) {
-    check_tenant(enclave);
-    return state[enclave];
-  }
-  const AppState& tenant(std::size_t enclave) const {
-    check_tenant(enclave);
-    return state[enclave];
-  }
+  /// Throws for an enclave this co-run does not hold.
   void check_tenant(std::size_t enclave) const {
-    SGXPL_CHECK_MSG(enclave < state.size(),
+    SGXPL_CHECK_MSG(enclave < streams.size(),
                     "no enclave " << enclave << " in this co-run");
+  }
+  const Replay& stream(std::size_t enclave) const {
+    check_tenant(enclave);
+    return streams[enclave];
+  }
+  TenantFlags& tenant(std::size_t enclave) {
+    check_tenant(enclave);
+    return flags[enclave];
   }
 
   SimConfig cfg;
@@ -172,7 +198,8 @@ struct MultiEnclaveRun::Impl {
   std::vector<PageNum> offset;
   PageNum combined_pages = 0;
   std::unique_ptr<PerEnclavePolicy> policy;
-  std::vector<AppState> state;
+  std::vector<Replay> streams;
+  std::vector<TenantFlags> flags;
 };
 
 // Only the shared driver gets live sinks: the per-enclave DFP engines would
@@ -199,8 +226,8 @@ MultiEnclaveRun::MultiEnclaveRun(const SimConfig& config,
 MultiEnclaveRun::~MultiEnclaveRun() = default;
 
 bool MultiEnclaveRun::done() const noexcept {
-  for (const auto& st : impl_->state) {
-    if (!st.done) {
+  for (const TenantFlags& f : impl_->flags) {
+    if (!f.done) {
       return false;
     }
   }
@@ -209,8 +236,8 @@ bool MultiEnclaveRun::done() const noexcept {
 
 std::uint64_t MultiEnclaveRun::steps() const noexcept {
   std::uint64_t sum = 0;
-  for (const auto& st : impl_->state) {
-    sum += st.cursor;
+  for (const Replay& r : impl_->streams) {
+    sum += r.cursor;
   }
   return sum;
 }
@@ -219,52 +246,16 @@ void MultiEnclaveRun::step() {
   Impl& im = *impl_;
   // Co-simulation: each enclave has its own clock and cursor; always step
   // the one furthest behind.
-  std::size_t next = im.apps.size();
-  Cycles min_clock = std::numeric_limits<Cycles>::max();
-  for (std::size_t i = 0; i < im.apps.size(); ++i) {
-    if (!im.state[i].done && !im.state[i].paused &&
-        im.state[i].now < min_clock) {
-      min_clock = im.state[i].now;
-      next = i;
-    }
-  }
-  SGXPL_CHECK_MSG(next != im.apps.size(),
+  const std::size_t next = min_clock_stream(im.streams, [&im](std::size_t i) {
+    return im.flags[i].done || im.flags[i].paused;
+  });
+  SGXPL_CHECK_MSG(next != im.streams.size(),
                   "stepping a finished (or fully paused) multi-enclave run");
-
-  AppState& st = im.state[next];
-  const EnclaveApp& app = im.apps[next];
-  const auto& a = app.trace->accesses()[st.cursor];
-  const PageNum page = im.offset[next] + a.page;
-
-  obs::ScopedSpan step_span(im.cfg.profiler, obs::Phase::kStep);
-  const Cycles step_start = st.now;
-  st.now += a.gap;
-  st.metrics.compute_cycles += a.gap;
-  ++st.metrics.accesses;
-
-  if (uses_sip(app.scheme) && app.plan->instrumented(a.site)) {
-    st.now += im.cfg.costs.bitmap_check;
-    st.metrics.sip_check_cycles += im.cfg.costs.bitmap_check;
-    ++st.metrics.sip_checks;
-    if (!stack_.driver().sip_bitmap_check(page, st.now)) {
-      const Cycles loaded = stack_.driver().sip_load(page, st.now);
-      st.now = loaded + im.cfg.costs.sip_notification;
-      st.metrics.sip_notification_cycles += im.cfg.costs.sip_notification;
-      ++st.metrics.sip_requests;
-    }
-  }
-
-  const auto outcome = stack_.driver().access(
-      page, st.now, ProcessId{static_cast<std::uint32_t>(next)});
-  st.now = outcome.completion;
-  if (outcome.faulted) {
-    ++st.metrics.enclave_faults;
-  }
-  step_span.add_cycles(st.now - step_start);
-
-  if (++st.cursor >= app.trace->size()) {
-    st.done = true;
-    st.metrics.total_cycles = st.now;
+  Replay& r = im.streams[next];
+  r.step(stack_.driver(), im.cfg.profiler);
+  if (r.done()) {
+    im.flags[next].done = true;
+    r.metrics.total_cycles = r.now;
   }
 }
 
@@ -279,7 +270,7 @@ MultiEnclaveResult MultiEnclaveRun::finish() {
   result.per_enclave.reserve(im.apps.size());
   result.degrade_levels.reserve(im.apps.size());
   for (std::size_t i = 0; i < im.apps.size(); ++i) {
-    Metrics m = im.state[i].metrics;
+    Metrics m = im.streams[i].metrics;
     if (const auto* engine = im.policy->engine(i)) {
       fill_dfp_metrics(*engine, m);
     }
@@ -313,7 +304,7 @@ MultiEnclaveResult MultiEnclaveRun::finish() {
 
 snapshot::RunMeta MultiEnclaveRun::meta() const {
   const Impl& im = *impl_;
-  snapshot::RunMeta meta;
+  snapshot::RunMeta meta = stack_.meta();
   meta.kind = "multi-enclave";
   std::uint64_t total_accesses = 0;
   for (std::size_t i = 0; i < im.apps.size(); ++i) {
@@ -327,10 +318,6 @@ snapshot::RunMeta MultiEnclaveRun::meta() const {
   }
   meta.trace_accesses = total_accesses;
   meta.elrange_pages = im.combined_pages;
-  meta.epc_pages = im.cfg.enclave.epc_pages;
-  meta.chaos_spec = im.cfg.chaos.any_enabled() ? im.cfg.chaos.spec() : "";
-  meta.chaos_seed = im.cfg.chaos.seed;
-  meta.hardening_spec = sgxsim::overload_spec(im.cfg.enclave);
   meta.cursor = steps();
   return meta;
 }
@@ -348,11 +335,11 @@ void MultiEnclaveRun::save_head(snapshot::Writer& w) const {
     w.str("enc.trace", im.apps[i].trace->name());
     w.boolean("enc.has_dfp", has_dfp);
     w.end_section();
-    const AppState& st = im.state[i];
+    const Replay& st = im.streams[i];
     w.begin_section("APPS");
     w.u64("app.cursor", st.cursor);
     w.u64("app.now", st.now);
-    w.boolean("app.done", st.done);
+    w.boolean("app.done", im.flags[i].done);
     st.metrics.save(w);
     w.end_section();
     if (has_dfp) {
@@ -387,7 +374,7 @@ void MultiEnclaveRun::load_head(snapshot::Reader& r) {
                         << " a DFP engine but this run "
                         << (has_dfp ? "lacks" : "carries") << " one");
     r.leave_section();
-    AppState& st = im.state[i];
+    Replay& st = im.streams[i];
     r.enter_section("APPS");
     st.cursor = r.u64("app.cursor");
     SGXPL_CHECK_MSG(st.cursor <= im.apps[i].trace->size(),
@@ -396,7 +383,7 @@ void MultiEnclaveRun::load_head(snapshot::Reader& r) {
                                        << im.apps[i].trace->size()
                                        << " accesses");
     st.now = r.u64("app.now");
-    st.done = r.boolean("app.done");
+    im.flags[i].done = r.boolean("app.done");
     st.metrics.load(r);
     r.leave_section();
     if (has_dfp) {
@@ -412,7 +399,7 @@ std::size_t MultiEnclaveRun::enclave_count() const noexcept {
 }
 
 Metrics MultiEnclaveRun::tenant_metrics(std::size_t enclave) const {
-  return impl_->tenant(enclave).metrics;
+  return impl_->stream(enclave).metrics;
 }
 
 const dfp::DfpEngine* MultiEnclaveRun::tenant_engine(
@@ -422,11 +409,11 @@ const dfp::DfpEngine* MultiEnclaveRun::tenant_engine(
 }
 
 std::uint64_t MultiEnclaveRun::tenant_cursor(std::size_t enclave) const {
-  return impl_->tenant(enclave).cursor;
+  return impl_->stream(enclave).cursor;
 }
 
 Cycles MultiEnclaveRun::tenant_clock(std::size_t enclave) const {
-  return impl_->tenant(enclave).now;
+  return impl_->stream(enclave).now;
 }
 
 snapshot::TenantGeometry MultiEnclaveRun::tenant_geometry(
@@ -444,12 +431,13 @@ void MultiEnclaveRun::set_tenant_paused(std::size_t enclave, bool paused) {
 }
 
 bool MultiEnclaveRun::tenant_paused(std::size_t enclave) const {
-  return impl_->tenant(enclave).paused;
+  impl_->check_tenant(enclave);
+  return impl_->flags[enclave].paused;
 }
 
 bool MultiEnclaveRun::steppable() const noexcept {
-  for (const auto& st : impl_->state) {
-    if (!st.done && !st.paused) {
+  for (const TenantFlags& f : impl_->flags) {
+    if (!f.done && !f.paused) {
       return true;
     }
   }
@@ -467,13 +455,14 @@ void MultiEnclaveRun::end_tenant_drain(std::size_t enclave) {
 }
 
 void MultiEnclaveRun::retire_tenant(std::size_t enclave) {
-  AppState& st = impl_->tenant(enclave);
-  SGXPL_CHECK_MSG(st.paused,
+  TenantFlags& f = impl_->tenant(enclave);
+  SGXPL_CHECK_MSG(f.paused,
                   "retire_tenant() requires the tenant to be paused (the "
                   "stop-and-copy must have frozen its clock)");
-  if (!st.done) {
-    st.done = true;
-    st.metrics.total_cycles = st.now;
+  if (!f.done) {
+    f.done = true;
+    Replay& r = impl_->streams[enclave];
+    r.metrics.total_cycles = r.now;
   }
 }
 

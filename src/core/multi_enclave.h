@@ -10,8 +10,11 @@
 // one physical EPC, one paging channel, one CLOCK sweep — with each
 // enclave's ELRANGE placed at a disjoint offset in the combined address
 // space and each enclave running its own DFP engine (keyed by ProcessId).
-// The scheduler always steps the enclave with the smallest virtual clock,
-// bounding cross-enclave causality skew to a single fault-handling span.
+// Each tenant is one core::Replay (core/run_stack.h), stepped by the same
+// per-access rule as a single run; the scheduler, min_clock_stream, always
+// steps the unpaused tenant with the smallest virtual clock, bounding
+// cross-enclave causality skew to a single fault-handling span. SIP tenants
+// run the conservative check only: a nonzero sip_lookahead is refused.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "core/multi_thread.h"
 
 #include <algorithm>
-#include <limits>
 #include <memory>
 
 #include "common/check.h"
@@ -32,50 +31,30 @@ ThreadedRunResult run_threads(const SimConfig& config,
   RunStack stack(config, elrange, engine.get());
   sgxsim::Driver& driver = stack.driver();
 
-  struct ThreadState {
-    std::size_t cursor = 0;
-    Cycles now = 0;
-    bool done = false;
-    Metrics metrics;
-  };
-  std::vector<ThreadState> state(threads.size());
-
+  std::vector<Replay> streams(threads.size());
+  for (std::size_t i = 0; i < threads.size(); ++i) {
+    streams[i].trace = threads[i];
+    streams[i].pid =
+        ProcessId{per_thread_streams ? static_cast<std::uint32_t>(i) : 0u};
+  }
   for (;;) {
-    std::size_t next = threads.size();
-    Cycles min_clock = std::numeric_limits<Cycles>::max();
-    for (std::size_t i = 0; i < threads.size(); ++i) {
-      if (!state[i].done && state[i].now < min_clock) {
-        min_clock = state[i].now;
-        next = i;
-      }
-    }
-    if (next == threads.size()) {
+    const std::size_t next = min_clock_stream(
+        streams, [&streams](std::size_t i) { return streams[i].done(); });
+    if (next == streams.size()) {
       break;
     }
-    ThreadState& st = state[next];
-    const auto& a = threads[next]->accesses()[st.cursor];
-    st.now += a.gap;
-    st.metrics.compute_cycles += a.gap;
-    ++st.metrics.accesses;
-
-    const ProcessId pid{
-        per_thread_streams ? static_cast<std::uint32_t>(next) : 0u};
-    const auto outcome = driver.access(a.page, st.now, pid);
-    st.now = outcome.completion;
-    if (outcome.faulted) {
-      ++st.metrics.enclave_faults;
-    }
-    if (++st.cursor >= threads[next]->size()) {
-      st.done = true;
-      st.metrics.total_cycles = st.now;
+    Replay& r = streams[next];
+    r.step(driver, config.profiler);
+    if (r.done()) {
+      r.metrics.total_cycles = r.now;
     }
   }
 
   stack.settle();
   ThreadedRunResult result;
-  for (auto& st : state) {
-    result.makespan = std::max(result.makespan, st.metrics.total_cycles);
-    result.per_thread.push_back(std::move(st.metrics));
+  for (Replay& r : streams) {
+    result.makespan = std::max(result.makespan, r.metrics.total_cycles);
+    result.per_thread.push_back(std::move(r.metrics));
   }
   stack.collect(result.driver, result.inject);
   if (engine != nullptr) {

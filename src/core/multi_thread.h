@@ -2,8 +2,10 @@
 // pages in each thread through the operating system").
 //
 // K threads of one enclave share the ELRANGE, the EPC, and the paging
-// channel; their accesses interleave in virtual time (smallest-clock-first,
-// as in the multi-enclave co-simulator). The single DFP engine serves all
+// channel; each thread is one core::Replay (core/run_stack.h), stepped by
+// the same per-access rule as a single run, and their accesses interleave
+// in virtual time through the co-run's scheduler, min_clock_stream
+// (smallest clock first). The single DFP engine serves all
 // of them — and the `per_thread_streams` switch decides whether the fault
 // history is keyed by thread (the paper's design) or pooled globally, the
 // ablation that shows why the paper keys per thread: pooled histories let

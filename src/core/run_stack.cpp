@@ -39,6 +39,10 @@ RunStack::RunStack(const SimConfig& cfg, PageNum elrange_pages,
                    sgxsim::PreloadPolicy* policy)
     : settle_(cfg.validate || cfg.enclave.channel.max_retries > 0),
       registry_(cfg.registry) {
+  meta_.epc_pages = cfg.enclave.epc_pages;
+  meta_.chaos_spec = cfg.chaos.any_enabled() ? cfg.chaos.spec() : "";
+  meta_.chaos_seed = cfg.chaos.seed;
+  meta_.hardening_spec = sgxsim::overload_spec(cfg.enclave);
   sgxsim::EnclaveConfig ecfg = cfg.enclave;
   ecfg.elrange_pages = elrange_pages;
   // Chaos attach: the injector perturbs the untrusted stack through the

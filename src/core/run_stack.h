@@ -1,12 +1,15 @@
 // The plumbing every simulation shares, written once: the DFP engine
-// builder, the driver stack (driver, optional fault injector, observability
-// sinks), the frame skeleton behind the checkpoint verbs, and the
-// checkpoint/resume loop. SimulationRun, MultiEnclaveRun and run_threads
-// differ only in their scheduler and in the sections they add around the
-// driver's.
+// builder, the replay of one access stream (the paper's per-access step and
+// the min-clock pick between streams), the driver stack (driver, optional
+// fault injector, observability sinks, the frame identity it fixes), the
+// frame skeleton behind the checkpoint verbs, and the checkpoint/resume
+// loop. SimulationRun replays one stream, MultiEnclaveRun one per tenant and
+// run_threads one per thread; they differ only in what they do around the
+// step and in the sections they add around the driver's.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -14,6 +17,7 @@
 #include "core/metrics.h"
 #include "core/scheme.h"
 #include "snapshot/codec.h"
+#include "trace/access.h"
 
 namespace sgxpl::core {
 
@@ -25,6 +29,92 @@ std::unique_ptr<dfp::DfpEngine> make_dfp_engine(const SimConfig& cfg,
 /// Copy the engine's end-of-run state (stop verdict, preload counters,
 /// predictor hits/misses) into `m`.
 void fill_dfp_metrics(const dfp::DfpEngine& engine, Metrics& m);
+
+/// One access stream replayed through a driver: the trace, where its pages
+/// sit in the driver's page space, its clock, cursor and Metrics. step() is
+/// the paper's per-access rule, the same for one enclave, a co-run tenant
+/// (§5.6) or a thread (§3.1): the compute gap, then at an instrumented site
+/// BIT_MAP_CHECK and on a miss a blocking page_loadin (§3.2), then the
+/// driver's access, which runs the fault path when the page is absent (§4).
+/// The trace and plan must outlive the replay.
+struct Replay {
+  const trace::Trace* trace = nullptr;
+  /// The SIP plan whose sites step() checks; null means no checks.
+  const sip::InstrumentationPlan* plan = nullptr;
+  /// The driver page of the trace's page 0.
+  PageNum offset = 0;
+  ProcessId pid{0};
+  std::uint64_t cursor = 0;
+  Cycles now = 0;
+  Metrics metrics;
+
+  bool done() const noexcept { return cursor >= trace->size(); }
+
+  /// The charges of one access: its compute gap, which every access pays,
+  /// and BIT_MAP_CHECK, which an instrumented site adds.
+  void charge_compute(Cycles gap) noexcept {
+    ++metrics.accesses;
+    now += gap;
+    metrics.compute_cycles += gap;
+  }
+  void charge_bitmap_check(const sgxsim::CostModel& costs) noexcept {
+    now += costs.bitmap_check;
+    metrics.sip_check_cycles += costs.bitmap_check;
+    ++metrics.sip_checks;
+  }
+
+  /// Consume the next access. Requires !done(). `before_access` runs once
+  /// the gap (and any check) is charged, right before the driver's access:
+  /// the slot SimulationRun's hoisted SIP checks take.
+  template <class BeforeAccess>
+  void step(sgxsim::Driver& d, obs::Profiler* prof,
+            BeforeAccess&& before_access) {
+    obs::ScopedSpan step_span(prof, obs::Phase::kStep);
+    const Cycles step_start = now;
+    const trace::Access& a = trace->accesses()[cursor];
+    const PageNum page = offset + a.page;
+    charge_compute(a.gap);
+    if (plan != nullptr && plan->instrumented(a.site)) {
+      obs::ScopedSpan sip_span(prof, obs::Phase::kSipCheck);
+      const Cycles before = now;
+      charge_bitmap_check(d.costs());
+      if (!d.sip_bitmap_check(page, now)) {
+        now = d.sip_load(page, now) + d.costs().sip_notification;
+        metrics.sip_notification_cycles += d.costs().sip_notification;
+        ++metrics.sip_requests;
+      }
+      sip_span.add_cycles(now - before);
+    }
+    before_access();
+    const sgxsim::AccessOutcome outcome = d.access(page, now, pid);
+    now = outcome.completion;
+    if (outcome.faulted) {
+      ++metrics.enclave_faults;
+    }
+    step_span.add_cycles(now - step_start);
+    ++cursor;
+  }
+  void step(sgxsim::Driver& d, obs::Profiler* prof) {
+    step(d, prof, [] {});
+  }
+};
+
+/// The stream furthest behind in virtual time, the one every multi-stream
+/// run steps next: the index of the smallest clock among the streams
+/// `skip(i)` does not rule out (done or paused ones), the lowest index on a
+/// tie; streams.size() when every stream is ruled out.
+template <class Skip>
+std::size_t min_clock_stream(const std::vector<Replay>& streams, Skip skip) {
+  std::size_t next = streams.size();
+  Cycles min_clock = std::numeric_limits<Cycles>::max();
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    if (!skip(i) && streams[i].now < min_clock) {
+      min_clock = streams[i].now;
+      next = i;
+    }
+  }
+  return next;
+}
 
 /// The driver a simulation pages through, plus the fault injector when
 /// cfg.chaos enables any class, with every observability sink of `cfg`
@@ -42,6 +132,11 @@ class RunStack {
 
   sgxsim::Driver& driver() noexcept { return *driver_; }
   const sgxsim::Driver& driver() const noexcept { return *driver_; }
+
+  /// The frame identity every run on this stack shares: the EPC size, the
+  /// chaos plan and seed, and the hardening fingerprint. The run fills in
+  /// its kind, schemes, traces, ELRANGE and cursor.
+  const snapshot::RunMeta& meta() const noexcept { return meta_; }
 
   /// The one end-of-run settle step. A hardened run (channel.max_retries
   /// > 0) may still hold lost ops awaiting their retry deadlines, and a
@@ -62,6 +157,7 @@ class RunStack {
  private:
   bool settle_;
   obs::MetricsRegistry* registry_;
+  snapshot::RunMeta meta_;
   std::unique_ptr<inject::FaultInjector> injector_;
   std::unique_ptr<sgxsim::Driver> driver_;
 };

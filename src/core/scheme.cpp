@@ -28,8 +28,7 @@ std::string SimConfig::describe() const {
       << ", epc_pages=" << enclave.epc_pages
       << ", streams=" << dfp.predictor.stream_list_len
       << ", load_length=" << dfp.predictor.load_length
-      << ", sip_threshold=" << sip.irregular_threshold
-      << ", contention=" << channel_contention;
+      << ", sip_threshold=" << sip.irregular_threshold;
   if (chaos.any_enabled()) {
     oss << ", chaos=" << chaos.describe();
   }
@@ -53,10 +52,6 @@ SimConfig paper_platform(Scheme scheme) {
   cfg.dfp.predictor.stream_list_len = 30;
   cfg.dfp.predictor.load_length = 4;
   cfg.sip.irregular_threshold = 0.05;
-  // The preload_dispatch cost (CostModel) already bounds DFP's pipeline
-  // gain the way the real kernel worker does; extra memory-bandwidth
-  // contention is left off here and explored by the ablation bench.
-  cfg.channel_contention = 0.0;
   return cfg;
 }
 

@@ -76,11 +76,6 @@ struct SimConfig {
   /// (page table / EPC / bitmap agreement) after the trace completes, as
   /// hardened runs always do (RunStack::settle). Meant for tests.
   bool validate = false;
-  /// Fraction of channel-busy time added to overlapping enclave compute:
-  /// the encrypted page copies of ELDU/EWB contend with the application for
-  /// memory bandwidth, which is one reason preloading gains saturate well
-  /// below the AEX+ERESUME bound on real hardware (paper §5.6).
-  double channel_contention = 0.0;
 
   /// Fault-injection plan for the untrusted paging stack (src/inject).
   /// Default-constructed = no faults enabled = zero-overhead plain run;
@@ -112,8 +107,7 @@ struct SimConfig {
 
 /// The configuration used for all paper-reproduction experiments: 96 MiB
 /// EPC, the paper's cycle constants, paper-default DFP parameters
-/// (stream_list 30, LOADLENGTH 4), 5% SIP threshold, and the calibrated
-/// memory-bandwidth contention factor.
+/// (stream_list 30, LOADLENGTH 4) and the 5% SIP threshold.
 SimConfig paper_platform(Scheme scheme = Scheme::kBaseline);
 
 }  // namespace sgxpl::core

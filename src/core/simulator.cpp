@@ -35,48 +35,38 @@ SimConfig steppable_config(SimConfig cfg, const trace::Trace& t,
 SimulationRun::SimulationRun(const SimConfig& config, const trace::Trace& t,
                              const sip::InstrumentationPlan* plan)
     : cfg_(steppable_config(config, t, plan)),
-      trace_(&t),
-      plan_(plan),
-      sip_on_(cfg_.uses_sip() && plan != nullptr && !plan->empty()),
+      plan_(cfg_.uses_sip() && plan != nullptr && !plan->empty() ? plan
+                                                                 : nullptr),
+      lookahead_(plan_ != nullptr ? cfg_.sip_lookahead : 0),
       quiet_(cfg_.profiler == nullptr && !cfg_.chaos.any_enabled() &&
-             cfg_.channel_contention <= 0.0 &&
-             (!sip_on_ || cfg_.sip_lookahead == 0)),
+             lookahead_ == 0),
       engine_(make_dfp_engine(cfg_, cfg_.scheme)),
       stack_(cfg_, cfg_.enclave.elrange_pages, engine_.get()) {
+  replay_.trace = &t;
+  replay_.plan = lookahead_ == 0 ? plan_ : nullptr;
   if (engine_ != nullptr) {
     engine_->set_observability(cfg_.registry, cfg_.timeseries);
   }
 }
 
-inline void SimulationRun::charge_compute(Cycles gap) {
-  ++m_.accesses;
-  now_ += gap;
-  m_.compute_cycles += gap;
-}
-
-inline void SimulationRun::charge_bitmap_check() {
-  now_ += cfg_.costs.bitmap_check;
-  m_.sip_check_cycles += cfg_.costs.bitmap_check;
-  ++m_.sip_checks;
-}
-
 void SimulationRun::hoist(std::size_t idx) {
   // Hoisted mode: the check+notify for each instrumented access runs
   // `sip_lookahead` accesses early.
-  const auto& target = trace_->accesses()[idx];
+  const auto& target = replay_.trace->accesses()[idx];
   if (!plan_->instrumented(target.site)) {
     return;
   }
   obs::ScopedSpan span(cfg_.profiler, obs::Phase::kSipCheck);
-  const Cycles before = now_;
-  charge_bitmap_check();
-  if (!driver().sip_bitmap_check(target.page, now_)) {
-    now_ += cfg_.costs.sip_notification;
-    m_.sip_notification_cycles += cfg_.costs.sip_notification;
-    ++m_.sip_requests;
-    driver().sip_prefetch(target.page, now_);
+  Cycles& now = replay_.now;
+  const Cycles before = now;
+  replay_.charge_bitmap_check(cfg_.costs);
+  if (!driver().sip_bitmap_check(target.page, now)) {
+    now += cfg_.costs.sip_notification;
+    replay_.metrics.sip_notification_cycles += cfg_.costs.sip_notification;
+    ++replay_.metrics.sip_requests;
+    driver().sip_prefetch(target.page, now);
   }
-  span.add_cycles(now_ - before);
+  span.add_cycles(now - before);
 }
 
 void SimulationRun::ensure_started() {
@@ -86,69 +76,21 @@ void SimulationRun::ensure_started() {
   started_ = true;
   // Issue the first lookahead window up front (the compiler hoists these
   // checks to the enclave's entry).
-  if (sip_on_ && cfg_.sip_lookahead > 0) {
-    const auto prefix = std::min<std::size_t>(cfg_.sip_lookahead,
-                                              trace_->size());
-    for (std::size_t j = 0; j < prefix; ++j) {
-      hoist(j);
-    }
+  const auto prefix = std::min<std::size_t>(lookahead_, replay_.trace->size());
+  for (std::size_t j = 0; j < prefix; ++j) {
+    hoist(j);
   }
 }
 
 void SimulationRun::step() {
   SGXPL_CHECK_MSG(!done(), "stepping past the end of the trace");
   ensure_started();
-
-  obs::ScopedSpan step_span(cfg_.profiler, obs::Phase::kStep);
-  const Cycles step_start = now_;
-  const auto& accesses = trace_->accesses();
-  const std::size_t i = cursor_;
-  const auto& a = accesses[i];
-
-  Cycles gap = a.gap;
-  if (cfg_.channel_contention > 0.0 && gap > 0) {
-    // Enclave compute overlapping page copies runs slower: inflate the
-    // gap by the contention share of the overlapped busy time. One
-    // fixpoint step is enough at realistic factors.
-    const Cycles busy = driver().channel().busy_overlap(now_, now_ + gap);
-    if (busy > 0) {
-      const auto extra = static_cast<Cycles>(static_cast<double>(busy) *
-                                             cfg_.channel_contention);
-      gap += extra;
-      m_.contention_cycles += extra;
+  replay_.step(driver(), cfg_.profiler, [this] {
+    const std::size_t ahead = replay_.cursor + lookahead_;
+    if (lookahead_ > 0 && ahead < replay_.trace->size()) {
+      hoist(ahead);
     }
-  }
-  charge_compute(gap);
-
-  if (sip_on_) {
-    const std::uint32_t lookahead = cfg_.sip_lookahead;
-    if (lookahead == 0) {
-      if (plan_->instrumented(a.site)) {
-        // Conservative mode: BIT_MAP_CHECK right before the access, then
-        // a blocking page_loadin_function on a miss.
-        obs::ScopedSpan sip_span(cfg_.profiler, obs::Phase::kSipCheck);
-        const Cycles before = now_;
-        charge_bitmap_check();
-        if (!driver().sip_bitmap_check(a.page, now_)) {
-          const Cycles loaded = driver().sip_load(a.page, now_);
-          now_ = loaded + cfg_.costs.sip_notification;
-          m_.sip_notification_cycles += cfg_.costs.sip_notification;
-          ++m_.sip_requests;
-        }
-        sip_span.add_cycles(now_ - before);
-      }
-    } else if (i + lookahead < accesses.size()) {
-      hoist(i + lookahead);
-    }
-  }
-
-  const auto outcome = driver().access(a.page, now_);
-  now_ = outcome.completion;
-  if (outcome.faulted) {
-    ++m_.enclave_faults;
-  }
-  step_span.add_cycles(now_ - step_start);
-  ++cursor_;
+  });
 }
 
 Metrics SimulationRun::finish() {
@@ -156,11 +98,12 @@ Metrics SimulationRun::finish() {
   begin_finish();
   ensure_started();  // a zero-step finish still runs the hoisted prefix
 
-  m_.total_cycles = now_;
+  Metrics& m = replay_.metrics;
+  m.total_cycles = replay_.now;
   stack_.settle();
-  stack_.collect(m_.driver, m_.inject);
+  stack_.collect(m.driver, m.inject);
   if (engine_ != nullptr) {
-    fill_dfp_metrics(*engine_, m_);
+    fill_dfp_metrics(*engine_, m);
   }
   if (cfg_.registry != nullptr) {
     auto& reg = *cfg_.registry;
@@ -168,45 +111,45 @@ Metrics SimulationRun::finish() {
       engine_->publish(reg);
     }
     reg.counter("sim.runs").add();
-    reg.counter("sim.total_cycles").add(m_.total_cycles);
-    reg.counter("sim.compute_cycles").add(m_.compute_cycles);
-    reg.counter("sim.contention_cycles").add(m_.contention_cycles);
-    if (sip_on_) {
-      reg.counter("sip.checks").add(m_.sip_checks);
-      reg.counter("sip.requests").add(m_.sip_requests);
-      reg.counter("sip.check_cycles").add(m_.sip_check_cycles);
-      reg.counter("sip.notification_cycles").add(m_.sip_notification_cycles);
+    reg.counter("sim.total_cycles").add(m.total_cycles);
+    reg.counter("sim.compute_cycles").add(m.compute_cycles);
+    if (plan_ != nullptr) {
+      reg.counter("sip.checks").add(m.sip_checks);
+      reg.counter("sip.requests").add(m.sip_requests);
+      reg.counter("sip.check_cycles").add(m.sip_check_cycles);
+      reg.counter("sip.notification_cycles").add(m.sip_notification_cycles);
     }
   }
-  return m_;
+  return m;
 }
 
 std::uint64_t SimulationRun::advance(std::uint64_t cursor_bound,
                                      Cycles clock_bound) {
-  const std::uint64_t from = cursor_;
+  const std::uint64_t from = replay_.cursor;
   const std::uint64_t end = std::min<std::uint64_t>(cursor_bound,
-                                                    trace_->size());
-  const auto& accesses = trace_->accesses();
+                                                    replay_.trace->size());
+  const auto& accesses = replay_.trace->accesses();
   const sgxsim::PageTable& pt = driver().page_table();
   const PageNum elrange = cfg_.enclave.elrange_pages;
-  while (cursor_ < end && now_ < clock_bound) {
+  while (replay_.cursor < end && replay_.now < clock_bound) {
     // A faulting access pays one predicate here, its page's present bit,
     // before step(). started_: the first access runs ensure_started()
     // through step().
-    const PageNum page = accesses[cursor_].page;
+    const PageNum page = accesses[replay_.cursor].page;
     if (quiet_ && started_ && page < elrange && pt.present(page)) {
       advance_quiet(end, clock_bound);
-      if (cursor_ == end || now_ >= clock_bound) {
+      if (replay_.cursor == end || replay_.now >= clock_bound) {
         break;
       }
     }
     step();
   }
-  return cursor_ - from;
+  return replay_.cursor - from;
 }
 
 void SimulationRun::advance_quiet(std::uint64_t end, Cycles clock_bound) {
-  SGXPL_DCHECK(now_ < clock_bound);
+  Replay& r = replay_;
+  SGXPL_DCHECK(r.now < clock_bound);
   sgxsim::Driver& d = driver();
   // An access that lands at or past clock_bound is left to step(), which
   // takes it (its clock was below the bound when it began) and ends the
@@ -215,59 +158,56 @@ void SimulationRun::advance_quiet(std::uint64_t end, Cycles clock_bound) {
   const sgxsim::PageTable& pt = d.page_table();
   const PageNum elrange = cfg_.enclave.elrange_pages;
   const Cycles check = cfg_.costs.bitmap_check;
-  const auto& accesses = trace_->accesses();
-  while (cursor_ < end) {
-    const trace::Access& a = accesses[cursor_];
-    const bool sip = sip_on_ && plan_->instrumented(a.site);
-    const Cycles at = now_ + a.gap + (sip ? check : 0);
+  const auto& accesses = r.trace->accesses();
+  while (r.cursor < end) {
+    const trace::Access& a = accesses[r.cursor];
+    const bool sip = r.plan != nullptr && r.plan->instrumented(a.site);
+    const Cycles at = r.now + a.gap + (sip ? check : 0);
     if (at >= horizon || a.page >= elrange || !pt.present(a.page)) {
       return;
     }
     // step()'s charge for an access that finds its page resident (a
     // present page's bitmap bit is set, so an instrumented site's check
     // hits and loads nothing).
-    charge_compute(a.gap);
+    r.charge_compute(a.gap);
     if (sip) {
-      charge_bitmap_check();
+      r.charge_bitmap_check(cfg_.costs);
     }
-    d.resident_hit(a.page, now_);
-    ++cursor_;
+    d.resident_hit(a.page, r.now);
+    ++r.cursor;
   }
 }
 
 snapshot::RunMeta SimulationRun::meta() const {
-  snapshot::RunMeta meta;
+  snapshot::RunMeta meta = stack_.meta();
   meta.kind = "enclave-sim";
   meta.scheme = to_string(cfg_.scheme);
-  meta.trace_name = trace_->name();
-  meta.trace_accesses = trace_->size();
+  meta.trace_name = replay_.trace->name();
+  meta.trace_accesses = replay_.trace->size();
   meta.elrange_pages = cfg_.enclave.elrange_pages;
-  meta.epc_pages = cfg_.enclave.epc_pages;
-  meta.chaos_spec = cfg_.chaos.any_enabled() ? cfg_.chaos.spec() : "";
-  meta.chaos_seed = cfg_.chaos.seed;
-  meta.hardening_spec = sgxsim::overload_spec(cfg_.enclave);
-  meta.cursor = cursor_;
+  meta.cursor = replay_.cursor;
   return meta;
 }
 
 void SimulationRun::save_head(snapshot::Writer& w) const {
   w.begin_section("RUNS");
   w.boolean("run.started", started_);
-  w.u64("run.cursor", cursor_);
-  w.u64("run.now", now_);
-  m_.save(w);
+  w.u64("run.cursor", replay_.cursor);
+  w.u64("run.now", replay_.now);
+  replay_.metrics.save(w);
   w.end_section();
 }
 
 void SimulationRun::load_head(snapshot::Reader& r) {
   r.enter_section("RUNS");
   started_ = r.boolean("run.started");
-  cursor_ = r.u64("run.cursor");
-  SGXPL_CHECK_MSG(cursor_ <= trace_->size(),
-                  "snapshot cursor " << cursor_ << " exceeds the trace's "
-                                     << trace_->size() << " accesses");
-  now_ = r.u64("run.now");
-  m_.load(r);
+  replay_.cursor = r.u64("run.cursor");
+  SGXPL_CHECK_MSG(replay_.cursor <= replay_.trace->size(),
+                  "snapshot cursor " << replay_.cursor
+                                     << " exceeds the trace's "
+                                     << replay_.trace->size() << " accesses");
+  replay_.now = r.u64("run.now");
+  replay_.metrics.load(r);
   r.leave_section();
 }
 

@@ -1,15 +1,16 @@
 // The enclave simulator: replays an application trace under a scheme on the
 // sgxsim substrate and reports Metrics.
 //
-// Virtual time is the application's clock in cycles. Each trace access
-// advances time by its compute gap (inflated by memory-bandwidth contention
-// while page copies are in flight), then goes through:
-//   - the SIP path when the scheme instruments the access's site:
-//     BIT_MAP_CHECK against the shared presence bitmap, and on a miss a
-//     synchronous page_loadin request (no AEX/ERESUME);
-//   - the regular access path in the driver: residency hit, or the full
-//     fault sequence (AEX -> demand load with CLOCK eviction -> DFP
-//     prediction -> ERESUME).
+// Virtual time is the application's clock in cycles. Each trace access goes
+// through Replay::step (core/run_stack.h), the per-access rule the co-run
+// and the threaded run share: the compute gap, then at an instrumented site
+// BIT_MAP_CHECK against the shared presence bitmap and, on a miss, a
+// synchronous page_loadin request (no AEX/ERESUME), then the driver's
+// access path: residency hit, or the full fault sequence (AEX -> demand
+// load with CLOCK eviction -> DFP prediction -> ERESUME). Only a single run
+// has SIP's hoisted mode (sip_lookahead > 0), whose checks step() runs
+// sip_lookahead accesses early, in the slot Replay::step leaves before the
+// access.
 //
 // Resident accesses take a quiet loop. The paper charges a resident access
 // nothing beyond its compute gap (and BIT_MAP_CHECK at an instrumented
@@ -19,17 +20,18 @@
 // below the driver's quiet horizon, min(next scan, channel head's end), and
 // the page is present: each costs one compare and one page-table lookup,
 // then Driver::resident_hit, the same helper access()'s resident branch
-// calls. The first access that fails either test goes through step(), and
-// the loop resumes after it; an access whose page is absent pays only its
-// present bit before step(), not the horizon. Below the horizon advance_to() would commit
-// nothing and scan nothing, and a present page's bitmap bit is set, so the
-// loop ends every access in the state step() would: every counter, cycle
-// and snapshot byte is identical (tests/quiet_path_test.cpp). The horizon is
-// derived from the driver on each entry, never stored. The loop declines,
-// and every access takes step(), while a profiler (kStep counts stay exact)
-// or a chaos injector is attached, under channel contention or SIP
-// lookahead, while the elastic controller is engaged or lost ops await
-// their retry sweep, and while the parallel ablation channel holds an op.
+// calls, and the charges go through Replay's helpers, as step()'s do. The
+// first access that fails either test goes through step(), and the loop
+// resumes after it; an access whose page is absent pays only its present
+// bit before step(), not the horizon. Below the horizon advance_to() would
+// commit nothing and scan nothing, and a present page's bitmap bit is set,
+// so the loop ends every access in the state step() would: every counter,
+// cycle and snapshot byte is identical (tests/quiet_path_test.cpp). The
+// horizon is derived from the driver on each entry, never stored. The loop
+// declines, and every access takes step(), while a profiler (kStep counts
+// stay exact) or a chaos injector is attached, under SIP lookahead, while
+// the elastic controller is engaged or lost ops await their retry sweep,
+// and while the parallel ablation channel holds an op.
 //
 // SimulationRun exposes the replay one access at a time, so a run can be
 // checkpointed at any access boundary and resumed bit-identically — the
@@ -67,7 +69,7 @@ class SimulationRun : public RunSkeleton<SimulationRun> {
   SimulationRun(const SimulationRun&) = delete;
   SimulationRun& operator=(const SimulationRun&) = delete;
 
-  bool done() const noexcept { return cursor_ >= trace_->size(); }
+  bool done() const noexcept { return replay_.done(); }
   /// Consume the next trace access — the unit of progress checkpoints are
   /// aligned to. Requires !done().
   void step();
@@ -83,10 +85,10 @@ class SimulationRun : public RunSkeleton<SimulationRun> {
   /// the barrier. A lane whose clock already passed `bound` consumes zero.
   std::uint64_t run_until(Cycles bound) { return advance(kAllSteps, bound); }
   /// Accesses completed so far.
-  std::uint64_t cursor() const noexcept { return cursor_; }
+  std::uint64_t cursor() const noexcept { return replay_.cursor; }
   /// cursor() under the name the checkpoint loop shares with the co-run.
-  std::uint64_t steps() const noexcept { return cursor_; }
-  Cycles now() const noexcept { return now_; }
+  std::uint64_t steps() const noexcept { return replay_.cursor; }
+  Cycles now() const noexcept { return replay_.now; }
 
   /// The underlying driver, for the sharded barrier's cross-lane coupling
   /// (capacity limits, channel-slowdown factors, busy-cycle metering).
@@ -111,11 +113,6 @@ class SimulationRun : public RunSkeleton<SimulationRun> {
   void save_tail(snapshot::Writer& w) const;
   void load_tail(snapshot::Reader& r);
 
-  /// The charges of one access: its compute gap, which every access pays,
-  /// and BIT_MAP_CHECK, which an instrumented site adds. step(), hoist()
-  /// and the quiet loop all charge through these.
-  void charge_compute(Cycles gap);
-  void charge_bitmap_check();
   void hoist(std::size_t idx);
   void ensure_started();
   /// The quiet loop: resident accesses below the driver's horizon, up to
@@ -123,18 +120,18 @@ class SimulationRun : public RunSkeleton<SimulationRun> {
   void advance_quiet(std::uint64_t end, Cycles clock_bound);
 
   SimConfig cfg_;
-  const trace::Trace* trace_;
+  // The SIP plan when the scheme checks sites (null otherwise), and how many
+  // accesses ahead its checks run: 0 is the conservative mode, whose checks
+  // replay_ makes; N > 0 is the hoisted mode, whose checks hoist() makes.
   const sip::InstrumentationPlan* plan_;
-  bool sip_on_ = false;
+  std::uint32_t lookahead_;
   // The quiet loop's conditions that hold for the whole run: no profiler,
-  // no chaos injector, no channel contention, no SIP lookahead. The ones
-  // that change as the run goes live in Driver::quiet_horizon().
-  bool quiet_ = false;
+  // no chaos injector, no SIP lookahead. The ones that change as the run
+  // goes live in Driver::quiet_horizon().
+  bool quiet_;
   std::unique_ptr<dfp::DfpEngine> engine_;
   RunStack stack_;
-  Metrics m_;
-  Cycles now_ = 0;
-  std::uint64_t cursor_ = 0;
+  Replay replay_;
   // Whether the pre-loop work ran (hoisted SIP prefix). Runs lazily at the
   // first step so a restore never re-executes it; serialized so a snapshot
   // taken at cursor 0 still resumes exactly.

@@ -258,21 +258,6 @@ Cycles PagingChannel::completion_time() const noexcept {
   return end;
 }
 
-Cycles PagingChannel::busy_overlap(Cycles a, Cycles b) const noexcept {
-  if (b <= a) {
-    return 0;
-  }
-  Cycles busy = 0;
-  for (const auto& op : queue_) {
-    const Cycles lo = std::max(a, op.start);
-    const Cycles hi = std::min(b, op.end);
-    if (hi > lo) {
-      busy += hi - lo;
-    }
-  }
-  return busy;
-}
-
 void PagingChannel::save(snapshot::Writer& w) const {
   w.boolean("channel.serial", serial_);
   w.u64("channel.max_queued", config_.max_queued);

@@ -192,11 +192,6 @@ class PagingChannel {
   /// ends last; the parallel ablation walks the queue.
   Cycles completion_time() const noexcept;
 
-  /// Cycles within [a, b) during which the channel is busy with queued or
-  /// in-flight ops. Used to model memory-bandwidth interference between
-  /// page copies and enclave compute.
-  Cycles busy_overlap(Cycles a, Cycles b) const noexcept;
-
   std::size_t queued() const noexcept { return queue_.size(); }
   std::uint64_t ops_scheduled() const noexcept { return next_id_; }
   std::uint64_t ops_aborted() const noexcept { return aborted_; }

@@ -43,7 +43,7 @@ TEST(MultiEnclave, SingleEnclaveMatchesPlainSimulator) {
 TEST(MultiEnclave, CoRunSipChecksGoThroughTheChaosHook) {
   // A co-run SIP tenant's BIT_MAP_CHECK is the driver's sip_bitmap_check,
   // as in a single-enclave run: flip-bit lies reach it, and its profile
-  // carries the bitmap-check phase.
+  // carries the bitmap-check phase inside the SIP-check span.
   const auto a = seq_trace(128, 2'000, 1);
   const auto b = seq_trace(128, 2'000, 2);
   sip::InstrumentationPlan plan;
@@ -58,7 +58,8 @@ TEST(MultiEnclave, CoRunSipChecksGoThroughTheChaosHook) {
                             EnclaveApp{&b, Scheme::kBaseline, nullptr}});
   EXPECT_GT(r.per_enclave[0].sip_checks, 0u);
   EXPECT_GT(r.driver.bitmap_lies, 0u);
-  EXPECT_NE(prof.profile().find({obs::Phase::kStep, obs::Phase::kBitmapCheck}),
+  EXPECT_NE(prof.profile().find({obs::Phase::kStep, obs::Phase::kSipCheck,
+                                 obs::Phase::kBitmapCheck}),
             nullptr);
 }
 
@@ -72,6 +73,25 @@ TEST(MultiEnclave, SipSchemeRequiresPlan) {
   MultiEnclaveSimulator multi(shared_config(64));
   EXPECT_THROW(multi.run({EnclaveApp{&t, Scheme::kSip, nullptr}}),
                CheckFailure);
+}
+
+TEST(MultiEnclave, RejectsSipLookahead) {
+  // A co-run's SIP checks are conservative only; a lookahead it would
+  // silently ignore is refused by name.
+  const auto t = seq_trace(32, 1'000);
+  sip::InstrumentationPlan plan;
+  plan.add_site(1);
+  auto cfg = shared_config(64);
+  cfg.sip_lookahead = 4;
+  try {
+    MultiEnclaveRun run(cfg, {EnclaveApp{&t, Scheme::kSip, &plan}});
+    ADD_FAILURE() << "a co-run accepted sip_lookahead 4";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("sip_lookahead"), std::string::npos)
+        << e.what();
+  }
+  // Without a SIP tenant the field has nothing to act on.
+  EXPECT_NO_THROW(MultiEnclaveRun(cfg, {EnclaveApp{&t, Scheme::kDfp}}));
 }
 
 TEST(MultiEnclave, ContentionSlowsBothEnclaves) {

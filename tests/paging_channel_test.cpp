@@ -114,16 +114,6 @@ TEST(PagingChannel, IdleAndCompletionTime) {
   EXPECT_EQ(ch.completion_time(), 200u);
 }
 
-TEST(PagingChannel, BusyOverlap) {
-  PagingChannel ch;
-  ch.schedule(100, 100, 1, OpKind::kDemandLoad);  // busy [100,200)
-  EXPECT_EQ(ch.busy_overlap(0, 100), 0u);
-  EXPECT_EQ(ch.busy_overlap(150, 250), 50u);
-  EXPECT_EQ(ch.busy_overlap(0, 1000), 100u);
-  EXPECT_EQ(ch.busy_overlap(120, 180), 60u);
-  EXPECT_EQ(ch.busy_overlap(300, 200), 0u);  // inverted interval
-}
-
 TEST(PagingChannel, ParallelModeStartsImmediately) {
   PagingChannel ch(/*serial=*/false);
   const auto& a = ch.schedule(0, 100, 1, OpKind::kDemandLoad);

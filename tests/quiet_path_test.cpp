@@ -2,8 +2,9 @@
 // driven through run_to_end(), advance() and run_until() must end every
 // access in exactly the state a bare `while (!done()) step();` loop reaches.
 // Random seeded traces run under every scheme and under every condition the
-// loop declines for (chaos, contention, a profiler, the parallel channel) or
-// works around (a hardened bounded channel, FIFO demand), and the runs must
+// loop declines for (chaos, a profiler, the parallel channel) or works
+// around (a hardened bounded channel, FIFO demand, EPC contention), and the
+// runs must
 // agree on every Metrics and DriverStats field, on save_bytes() at random
 // cuts, on the delta chain a checkpointed run writes and on its resume, and
 // on every lane of a sharded fleet at K in {1, 4}.
@@ -154,7 +155,9 @@ SimConfig config_for(const SchemeCase& s, Variant v, std::uint64_t seed) {
       cfg.enclave.channel.max_retries = 3;
       break;
     case Variant::kContention:
-      cfg.channel_contention = 0.3;
+      // EPC contention: a quarter of the EPC, smaller than the hot sets, so
+      // the loop keeps meeting pages evicted since it last ran.
+      cfg.enclave.epc_pages = 24;
       break;
     case Variant::kProfiler:
       cfg.profiler = &test_profiler();

@@ -31,7 +31,6 @@ SimConfig test_config(Scheme scheme, PageNum epc = 64) {
   SimConfig cfg;
   cfg.scheme = scheme;
   cfg.enclave.epc_pages = epc;
-  cfg.channel_contention = 0.0;
   cfg.dfp.predictor.stream_list_len = 8;
   cfg.dfp.predictor.load_length = 4;
   return cfg;
@@ -208,19 +207,6 @@ TEST(Simulator, HybridCombinesBothSchemes) {
   EXPECT_LT(hybrid.total_cycles, base.total_cycles);
   EXPECT_LT(hybrid.total_cycles, dfp.total_cycles);
   EXPECT_LT(hybrid.total_cycles, sip.total_cycles);
-}
-
-TEST(Simulator, ContentionInflatesCompute) {
-  // Compute-bound gaps (larger than a preload) so the inflation is not
-  // absorbed by channel waits.
-  const auto t = seq_trace(256, 80'000);
-  auto cfg = test_config(Scheme::kDfp, 64);
-  const auto crisp = simulate(t, cfg);
-  cfg.channel_contention = 0.5;
-  const auto contended = simulate(t, cfg);
-  EXPECT_GT(contended.contention_cycles, 0u);
-  EXPECT_GT(contended.total_cycles, crisp.total_cycles);
-  EXPECT_EQ(crisp.contention_cycles, 0u);
 }
 
 TEST(Simulator, EmptyTraceThrows) {

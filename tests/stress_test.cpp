@@ -69,7 +69,6 @@ core::SimConfig random_config(Rng& rng) {
   cfg.dfp.predictor.detect_backward = rng.chance(0.5);
   cfg.dfp.stop_slack = rng.bounded(500);
   cfg.sip_lookahead = static_cast<std::uint32_t>(rng.bounded(20));
-  cfg.channel_contention = rng.chance(0.3) ? rng.real() : 0.0;
   const core::Scheme schemes[] = {core::Scheme::kBaseline, core::Scheme::kDfp,
                                   core::Scheme::kDfpStop, core::Scheme::kSip,
                                   core::Scheme::kHybrid};
