@@ -1,8 +1,9 @@
 // google-benchmark micro-benchmarks of the building blocks on the hot
 // paths: Algorithm 1's predictor update, the presence-bitmap check
-// (BIT_MAP_CHECK's cost on our side of the simulation), the driver's
-// resident and fault paths, the run loop over resident accesses, and
-// end-to-end simulator throughput. Pass --benchmark_repetitions=N for a
+// (BIT_MAP_CHECK's cost on our side of the simulation), the two set-up
+// phases (SIP profiling and trace generation), the driver's resident and
+// fault paths, the run loop over resident accesses, and end-to-end
+// simulator throughput. Pass --benchmark_repetitions=N for a
 // median and spread per case.
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,7 @@
 #include "dfp/stream_predictor.h"
 #include "sgxsim/bitmap.h"
 #include "sgxsim/driver.h"
+#include "sip/profiler.h"
 #include "sip/site_classifier.h"
 #include "trace/workloads.h"
 
@@ -64,6 +66,33 @@ void BM_SiteClassifier(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SiteClassifier);
+
+void BM_SipProfileTrace(benchmark::State& state) {
+  // SIP's profiling pass (§4.4) over mcf's train input at scale 0.105, the
+  // train scale of simbench's irregular_hybrid: every access is classified
+  // and counted against its site.
+  const trace::Trace t =
+      trace::find_workload("mcf")->make(trace::train_params(0.105));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sip::profile_trace(t));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(t.size()));
+}
+BENCHMARK(BM_SipProfileTrace)->Unit(benchmark::kMillisecond);
+
+void BM_WorkloadMake(benchmark::State& state) {
+  // Trace generation: mcf's ref input at scale 0.3.
+  const trace::Workload* w = trace::find_workload("mcf");
+  std::int64_t accesses = 0;
+  for (auto _ : state) {
+    const trace::Trace t = w->make(trace::ref_params(0.3));
+    accesses = static_cast<std::int64_t>(t.size());
+    benchmark::DoNotOptimize(t.accesses().data());
+  }
+  state.SetItemsProcessed(state.iterations() * accesses);
+}
+BENCHMARK(BM_WorkloadMake)->Unit(benchmark::kMillisecond);
 
 void BM_DriverFaultPath(benchmark::State& state) {
   sgxsim::EnclaveConfig cfg;

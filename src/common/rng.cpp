@@ -53,7 +53,7 @@ double ZipfSampler::h_inv(double x) const noexcept {
   return std::pow((1.0 - alpha_) * x, 1.0 / (1.0 - alpha_));
 }
 
-std::uint64_t ZipfSampler::operator()(Rng& rng) noexcept {
+std::uint64_t ZipfSampler::operator()(Rng& rng) const noexcept {
   // Hörmann & Derflinger rejection-inversion; returns ranks in [1, n],
   // mapped to [0, n-1].
   for (;;) {

@@ -101,7 +101,7 @@ class ZipfSampler {
  public:
   ZipfSampler(std::uint64_t n, double alpha);
 
-  std::uint64_t operator()(Rng& rng) noexcept;
+  std::uint64_t operator()(Rng& rng) const noexcept;
 
   std::uint64_t n() const noexcept { return n_; }
   double alpha() const noexcept { return alpha_; }

@@ -18,16 +18,17 @@ SiteClassifier::SiteClassifier(const dfp::StreamPredictorParams& params)
     : predictor_(params) {}
 
 AccessClass SiteClassifier::classify(ProcessId pid, PageNum page) {
-  AccessClass cls = AccessClass::kClass3;
-  if (predictor_.on_stream_list(pid, page)) {
-    cls = AccessClass::kClass1;
-  } else if (predictor_.follows_stream(pid, page)) {
-    cls = AccessClass::kClass2;
+  // The access feeds the stream structure whatever its class, exactly as
+  // the runtime predictor would see the fault sequence.
+  switch (predictor_.classify(pid, page)) {
+    case dfp::StreamMatch::kOnList:
+      return AccessClass::kClass1;
+    case dfp::StreamMatch::kFollows:
+      return AccessClass::kClass2;
+    case dfp::StreamMatch::kNone:
+      break;
   }
-  // Feed the access into the stream structure regardless of class, exactly
-  // as the runtime predictor would see the fault sequence.
-  (void)predictor_.on_fault(pid, page);
-  return cls;
+  return AccessClass::kClass3;
 }
 
 }  // namespace sgxpl::sip

@@ -110,9 +110,15 @@ void paired_random_access(Trace& t, Rng& rng, Region region,
 void zipf_access(Trace& t, Rng& rng, Region region, std::uint64_t count,
                  double alpha, SiteId site_base, std::uint32_t sites,
                  GapModel gap) {
-  SGXPL_CHECK(region.pages > 0);
+  zipf_access(t, rng, region, count, ZipfSampler(region.pages, alpha),
+              site_base, sites, gap);
+}
+
+void zipf_access(Trace& t, Rng& rng, Region region, std::uint64_t count,
+                 const ZipfSampler& zipf, SiteId site_base,
+                 std::uint32_t sites, GapModel gap) {
+  SGXPL_CHECK(region.pages > 0 && zipf.n() == region.pages);
   SGXPL_CHECK(sites > 0);
-  ZipfSampler zipf(region.pages, alpha);
   for (std::uint64_t i = 0; i < count; ++i) {
     t.append(Access{
         .page = region.lo + zipf(rng),

@@ -62,6 +62,12 @@ void zipf_access(Trace& t, Rng& rng, Region region, std::uint64_t count,
                  double alpha, SiteId site_base, std::uint32_t sites,
                  GapModel gap);
 
+/// The same, drawing from a caller-built `zipf` over region.pages ranks, so
+/// a generator that calls it every round builds the sampler once.
+void zipf_access(Trace& t, Rng& rng, Region region, std::uint64_t count,
+                 const ZipfSampler& zipf, SiteId site_base,
+                 std::uint32_t sites, GapModel gap);
+
 /// A pointer-chase: `steps` hops through a fixed random permutation of the
 /// region's pages (mcf/omnetpp-style dependent chains).
 void pointer_chase(Trace& t, Rng& rng, Region region, std::uint64_t steps,

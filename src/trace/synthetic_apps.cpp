@@ -27,6 +27,10 @@ Trace make_sift(const WorkloadParams& p) {
   PageNum size = base;
   SiteId site = 10;
   const int octaves = p.train ? 2 : 4;
+  const std::uint64_t hops = sc(p.scale, 80'000);
+  // Octave sizes halve, so they sum to under 2 * base; each octave's two
+  // scans touch at most 2 * size pages.
+  t.reserve(4 * base + static_cast<std::size_t>(octaves) * hops);
   for (int oct = 0; oct < octaves && size >= 256; ++oct) {
     const Region octave{lo, size};
     // Blur passes (read + write streams) and DoG pass per octave; the
@@ -38,7 +42,7 @@ Trace make_sift(const WorkloadParams& p) {
     // Keypoint refinement hops around the octave. The hops come from
     // hundreds of rarely-executed instructions, so no single site gathers
     // enough profile mass to be instrumented (Table 2: SIFT = 0 points).
-    random_access(t, rng, octave, sc(p.scale, 80'000), /*site_base=*/500,
+    random_access(t, rng, octave, hops, /*site_base=*/500,
                   /*sites=*/100'000, gap);
     lo += size;
     size /= 2;
@@ -59,18 +63,22 @@ Trace make_mser(const WorkloadParams& p) {
   const GapModel merge_gap{.mean = 15'000, .jitter_pct = 0.4};
   const Region img{0, image};
   const Region fst{image, forest};
-  seq_scan(t, rng, img, /*site=*/10, scan_gap);
   const std::uint64_t merges = sc(p.scale, 220'000);
   const std::uint64_t rounds = merges / 6;
+  constexpr std::uint64_t kWalk = 5;
+  constexpr std::uint64_t kMaxRun = 3;
+  t.reserve(image + rounds * (kWalk + kMaxRun));
+  const ZipfSampler walk(fst.pages, /*alpha=*/0.97);
+  seq_scan(t, rng, img, /*site=*/10, scan_gap);
   for (std::uint64_t r = 0; r < rounds; ++r) {
     // Union-find path walks: skewed (roots are hot and usually resident,
     // deep leaves miss) — many checks buy few conversions, which is why
     // MSER's SIP gain is modest (+3.0% in Fig. 11).
-    zipf_access(t, rng, fst, 5, /*alpha=*/0.97, /*site_base=*/100,
-                /*sites=*/54, merge_gap);
+    zipf_access(t, rng, fst, kWalk, walk, /*site_base=*/100, /*sites=*/54,
+                merge_gap);
     // Neighbour pixel reads: near-sequential bait runs on the image.
     if (rng.chance(0.25)) {
-      short_sequential_runs(t, rng, img, /*runs=*/1, /*max_run=*/3,
+      short_sequential_runs(t, rng, img, /*runs=*/1, kMaxRun,
                             /*site_base=*/200, /*sites=*/10, scan_gap);
     }
   }
@@ -88,10 +96,11 @@ Trace make_mixed_blood(const WorkloadParams& p) {
   const GapModel merge_gap{.mean = 8'000, .jitter_pct = 0.4};
   const Region img{0, image};
   const Region fst{image, forest};
+  const std::uint64_t merges = sc(p.scale, 180'000);
+  t.reserve(image + merges);
   // Phase 1: sequential image scan (DFP's half).
   seq_scan(t, rng, img, /*site=*/10, scan_gap);
   // Phase 2: MSER-style irregular merging (SIP's half).
-  const std::uint64_t merges = sc(p.scale, 180'000);
   zipf_access(t, rng, fst, merges, /*alpha=*/0.97, /*site_base=*/100,
               /*sites=*/54, merge_gap);
   return t;

@@ -28,6 +28,7 @@ Trace make_microbenchmark(const WorkloadParams& p) {
   Rng rng(p.seed);
   const GapModel gap{.mean = 2'000, .jitter_pct = 0.10};
   const int passes = p.train ? 1 : 2;
+  t.reserve(static_cast<std::size_t>(passes) * pages);
   for (int pass = 0; pass < passes; ++pass) {
     seq_scan(t, rng, Region{0, pages}, /*site=*/1, gap);
   }
@@ -50,6 +51,11 @@ Trace make_bwaves(const WorkloadParams& p) {
   constexpr std::uint64_t kStreams = 16;
   const PageNum slice = pages / kStreams;
   const int iters = p.train ? 1 : 3;
+  // Per sweep: at most one touch per page, plus at most one noise touch per
+  // stream per round; a round exists while the longest slice lasts.
+  const PageNum longest = pages - (kStreams - 1) * slice;
+  t.reserve(static_cast<std::size_t>(iters) *
+            (pages + kStreams * (longest + 1)));
   for (int it = 0; it < iters; ++it) {
     std::vector<PageNum> cursor(kStreams);
     std::vector<PageNum> limit(kStreams);
@@ -92,6 +98,7 @@ Trace make_lbm(const WorkloadParams& p) {
   Rng rng(p.seed);
   const GapModel gap{.mean = 13'000, .jitter_pct = 0.2};
   const int iters = p.train ? 1 : 3;
+  t.reserve(static_cast<std::size_t>(iters) * pages);  // one touch per page
   for (int it = 0; it < iters; ++it) {
     multi_stream_scan(t, rng, Region{0, pages}, /*streams=*/2,
                       /*site_base=*/10, gap, /*chunk=*/1,
@@ -109,14 +116,15 @@ Trace make_wrf(const WorkloadParams& p) {
   Trace t("wrf", pages + 16);
   Rng rng(p.seed);
   const GapModel gap{.mean = 16'000, .jitter_pct = 0.3};
+  const PageNum block = sc(p.scale, 16'384);
   const int iters = p.train ? 1 : 2;
+  t.reserve(static_cast<std::size_t>(iters) * (2 * pages + block));
   for (int it = 0; it < iters; ++it) {
     seq_scan(t, rng, Region{0, pages}, /*site=*/10, gap, /*stride=*/1,
              /*jump_prob=*/0.05);
     // Wrong-dimension sweeps dominate: strides defeat the stream detector.
     strided_sweep(t, rng, Region{0, pages}, /*stride=*/8, /*site=*/11, gap);
-    strided_sweep(t, rng, Region{0, sc(p.scale, 16'384)}, /*stride=*/4,
-                  /*site=*/12, gap);
+    strided_sweep(t, rng, Region{0, block}, /*stride=*/4, /*site=*/12, gap);
   }
   return t;
 }
@@ -141,11 +149,14 @@ Trace make_mcf(const WorkloadParams& p) {
   // spills to the cold graph ~9% of the time; the ref input only ~3%:
   // exactly the drift that makes SIP's instrumentation a wash (§5.2).
   const double p_hot = p.train ? 0.91 : 0.97;
-  hot_cold_mixed_sites(t, rng, hot, cold, sc(p.scale, 1'400'000), p_hot,
-                       /*site_base=*/100, /*sites=*/99, gap);
+  const std::uint64_t walks = sc(p.scale, 1'400'000);
+  const std::uint64_t arcs = sc(p.scale, 12'000);
+  t.reserve(walks + 2 * arcs);
+  hot_cold_mixed_sites(t, rng, hot, cold, walks, p_hot, /*site_base=*/100,
+                       /*sites=*/99, gap);
   // Arc-array walks: consecutive arcs often share a page boundary — more
   // two-page stream bait (mcf is one of Fig. 8's overhead cases).
-  paired_random_access(t, rng, cold, sc(p.scale, 12'000), /*pair_prob=*/0.6,
+  paired_random_access(t, rng, cold, arcs, /*pair_prob=*/0.6,
                        /*site_base=*/100, /*sites=*/99, gap);
   return t;
 }
@@ -165,8 +176,10 @@ Trace make_mcf2006(const WorkloadParams& p) {
   // Input-stable hot/cold mix: the profile's irregular ratio carries over
   // to the ref run, so SIP's instrumentation keeps paying off (+4.9%).
   const double p_hot = p.train ? 0.84 : 0.86;
-  hot_cold_mixed_sites(t, rng, hot, cold, sc(p.scale, 450'000), p_hot,
-                       /*site_base=*/100, /*sites=*/114, gap);
+  const std::uint64_t walks = sc(p.scale, 450'000);
+  t.reserve(walks);
+  hot_cold_mixed_sites(t, rng, hot, cold, walks, p_hot, /*site_base=*/100,
+                       /*sites=*/114, gap);
   return t;
 }
 
@@ -189,6 +202,10 @@ Trace make_deepsjeng(const WorkloadParams& p) {
   const GapModel probe_gap{.mean = 5'000, .jitter_pct = 0.4};
   const GapModel hot_gap{.mean = 4'000, .jitter_pct = 0.3};
   const std::uint64_t rounds = sc(p.scale, p.train ? 16'000 : 36'000);
+  constexpr int kEvalWalk = 20;
+  // Per round: three probes of up to two pages, a peek, the eval walk.
+  t.reserve(rounds * (3 * 2 + 1 + kEvalWalk));
+  const ZipfSampler peek(table.pages, /*alpha=*/0.99);
   PageNum eval_cursor = hot.lo;
   for (std::uint64_t r = 0; r < rounds; ++r) {
     // TT probes: a bucket cluster often straddles a page boundary, so a
@@ -204,10 +221,10 @@ Trace make_deepsjeng(const WorkloadParams& p) {
     // instrumenting them (low thresholds in Fig. 9) buys nothing: the
     // peeks hit resident pages, so every added check is pure overhead.
     if (rng.chance(0.5)) {
-      zipf_access(t, rng, table, 1, /*alpha=*/0.99, /*site_base=*/300,
-                  /*sites=*/80, probe_gap);
+      zipf_access(t, rng, table, 1, peek, /*site_base=*/300, /*sites=*/80,
+                  probe_gap);
     }
-    for (int e = 0; e < 20; ++e) {
+    for (int e = 0; e < kEvalWalk; ++e) {
       t.append(Access{.page = eval_cursor,
                       .site = static_cast<SiteId>(300 + rng.bounded(80)),
                       .gap = hot_gap.sample(rng)});
@@ -227,14 +244,16 @@ Trace make_omnetpp(const WorkloadParams& p) {
   Trace t("omnetpp", pages + 16);
   Rng rng(p.seed);
   const GapModel gap{.mean = 7'000, .jitter_pct = 0.4};
-  pointer_chase(t, rng, Region{0, pages}, sc(p.scale, 140'000),
-                /*site=*/100, gap);
-  zipf_access(t, rng, Region{0, sc(p.scale, 2'048)}, sc(p.scale, 110'000),
-              /*alpha=*/0.9, /*site_base=*/200, /*sites=*/60, gap);
+  const std::uint64_t hops = sc(p.scale, 140'000);
+  const std::uint64_t lookups = sc(p.scale, 110'000);
+  const std::uint64_t events = sc(p.scale, 45'000);
+  t.reserve(hops + lookups + 2 * events);
+  pointer_chase(t, rng, Region{0, pages}, hops, /*site=*/100, gap);
+  zipf_access(t, rng, Region{0, sc(p.scale, 2'048)}, lookups, /*alpha=*/0.9,
+              /*site_base=*/200, /*sites=*/60, gap);
   // Event objects spanning page boundaries: stream bait.
-  paired_random_access(t, rng, Region{0, pages}, sc(p.scale, 45'000),
-                       /*pair_prob=*/0.7, /*site_base=*/300, /*sites=*/20,
-                       gap);
+  paired_random_access(t, rng, Region{0, pages}, events, /*pair_prob=*/0.7,
+                       /*site_base=*/300, /*sites=*/20, gap);
   return t;
 }
 
@@ -249,12 +268,16 @@ Trace make_xz(const WorkloadParams& p) {
   const GapModel gap{.mean = 6'000, .jitter_pct = 0.4};
   const Region window{0, pages};
   const std::uint64_t rounds = sc(p.scale, 40'000);
+  constexpr std::uint64_t kProbes = 4;
+  constexpr std::uint64_t kMaxCopy = 4;
+  t.reserve(rounds * (kProbes + kMaxCopy));
   for (std::uint64_t r = 0; r < rounds; ++r) {
     // Hash probes: irregular, SIP-instrumentable (46 points in Table 2).
-    random_access(t, rng, window, 4, /*site_base=*/100, /*sites=*/46, gap);
+    random_access(t, rng, window, kProbes, /*site_base=*/100, /*sites=*/46,
+                  gap);
     // Match copy: a short forward run at the match position.
     if (rng.chance(0.5)) {
-      short_sequential_runs(t, rng, window, /*runs=*/1, /*max_run=*/4,
+      short_sequential_runs(t, rng, window, /*runs=*/1, kMaxCopy,
                             /*site_base=*/200, /*sites=*/8, gap);
     }
   }
@@ -272,13 +295,16 @@ Trace make_roms(const WorkloadParams& p) {
   Rng rng(p.seed);
   const GapModel gap{.mean = 5'500, .jitter_pct = 0.3};
   const Region grid{0, pages};
+  const std::uint64_t rows = sc(p.scale, 90'000);
+  constexpr std::uint64_t kMaxBurst = 3;
+  const Region sweep{0, sc(p.scale, 12'288)};
+  t.reserve(rows * kMaxBurst + sweep.pages);
   // Wrong-dimension grid sweeps: every row visit is a 2-3 page burst at a
   // far-away location — relentless stream-detector bait (the paper's worst
   // DFP case, +42% overhead without the stop valve).
-  short_sequential_runs(t, rng, grid, sc(p.scale, 90'000), /*max_run=*/3,
-                        /*site_base=*/100, /*sites=*/30, gap);
-  strided_sweep(t, rng, Region{0, sc(p.scale, 12'288)}, /*stride=*/16,
-                /*site=*/200, gap);
+  short_sequential_runs(t, rng, grid, rows, kMaxBurst, /*site_base=*/100,
+                        /*sites=*/30, gap);
+  strided_sweep(t, rng, sweep, /*stride=*/16, /*site=*/200, gap);
   return t;
 }
 
@@ -293,6 +319,7 @@ Trace make_small_ws(const char* name, PageNum pages, std::uint64_t accesses,
   Rng rng(p.seed);
   const GapModel gap{.mean = 8'000, .jitter_pct = 0.3};
   const Region r{0, pages};
+  t.reserve(pages + accesses);
   seq_scan(t, rng, r, /*site=*/10, gap);
   zipf_access(t, rng, r, accesses, /*alpha=*/0.9, /*site_base=*/100,
               /*sites=*/40, gap);
@@ -334,6 +361,7 @@ Trace make_oram(const WorkloadParams& p) {
   Rng rng(p.seed);
   const GapModel gap{.mean = 7'000, .jitter_pct = 0.3};
   const std::uint64_t requests = sc(p.scale, 24'000);
+  t.reserve(requests * (height + 1));  // one root-to-leaf path each
   for (std::uint64_t q = 0; q < requests; ++q) {
     const PageNum leaf = rng.bounded(leaves);
     // Visit the path root -> leaf. Bucket index at level k (root = level 0)

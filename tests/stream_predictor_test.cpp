@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/check.h"
 
 namespace sgxpl::dfp {
@@ -16,11 +18,17 @@ StreamPredictorParams params(std::size_t len = 4, std::uint64_t load = 4,
 
 constexpr ProcessId kPid{1};
 
+/// Where `page` stands against `sp`'s tails for kPid, judged on a copy so
+/// that `sp` itself is not fed.
+StreamMatch match(StreamPredictor sp, PageNum page) {
+  return sp.classify(kPid, page);
+}
+
 TEST(StreamPredictor, FirstFaultSeedsStreamNoPrediction) {
   StreamPredictor sp(params());
   EXPECT_TRUE(sp.on_fault(kPid, 100).empty());
   EXPECT_EQ(sp.stream_count(kPid), 1u);
-  EXPECT_TRUE(sp.on_stream_list(kPid, 100));
+  EXPECT_EQ(match(sp, 100), StreamMatch::kOnList);
   EXPECT_EQ(sp.misses(), 1u);
 }
 
@@ -31,8 +39,8 @@ TEST(StreamPredictor, SequentialFaultExtendsStream) {
   EXPECT_EQ(pred, (std::vector<PageNum>{102, 103, 104}));
   EXPECT_EQ(sp.hits(), 1u);
   // The tail moved: 101 is now the stpn, 100 no longer is.
-  EXPECT_TRUE(sp.on_stream_list(kPid, 101));
-  EXPECT_FALSE(sp.on_stream_list(kPid, 100));
+  EXPECT_EQ(match(sp, 101), StreamMatch::kOnList);
+  EXPECT_NE(match(sp, 100), StreamMatch::kOnList);
 }
 
 TEST(StreamPredictor, LoadLengthControlsPredictionSize) {
@@ -71,14 +79,14 @@ TEST(StreamPredictor, LruReplacementEvictsOldestStream) {
   sp.on_fault(kPid, 100);  // stream A
   sp.on_fault(kPid, 200);  // stream B
   sp.on_fault(kPid, 300);  // list full -> replaces A (LRU)
-  EXPECT_FALSE(sp.on_stream_list(kPid, 100));
-  EXPECT_TRUE(sp.on_stream_list(kPid, 200));
-  EXPECT_TRUE(sp.on_stream_list(kPid, 300));
+  EXPECT_NE(match(sp, 100), StreamMatch::kOnList);
+  EXPECT_EQ(match(sp, 200), StreamMatch::kOnList);
+  EXPECT_EQ(match(sp, 300), StreamMatch::kOnList);
   // Extending B promotes it; a new seed then replaces the LRU (300).
   sp.on_fault(kPid, 201);
   sp.on_fault(kPid, 400);
-  EXPECT_FALSE(sp.on_stream_list(kPid, 300));
-  EXPECT_TRUE(sp.on_stream_list(kPid, 201));
+  EXPECT_NE(match(sp, 300), StreamMatch::kOnList);
+  EXPECT_EQ(match(sp, 201), StreamMatch::kOnList);
 }
 
 TEST(StreamPredictor, TracksMultipleInterleavedStreams) {
@@ -104,10 +112,10 @@ TEST(StreamPredictor, PerProcessIsolation) {
 TEST(StreamPredictor, FollowsStreamQueries) {
   StreamPredictor sp(params());
   sp.on_fault(kPid, 100);
-  EXPECT_TRUE(sp.follows_stream(kPid, 101));
-  EXPECT_TRUE(sp.follows_stream(kPid, 99));  // backward enabled
-  EXPECT_FALSE(sp.follows_stream(kPid, 102));
-  EXPECT_FALSE(sp.follows_stream(kPid, 100));  // on-list, not following
+  EXPECT_EQ(match(sp, 101), StreamMatch::kFollows);
+  EXPECT_EQ(match(sp, 99), StreamMatch::kFollows);  // backward enabled
+  EXPECT_EQ(match(sp, 102), StreamMatch::kNone);
+  EXPECT_EQ(match(sp, 100), StreamMatch::kOnList);  // on-list, not following
 }
 
 TEST(StreamPredictor, RandomFaultsNeverPredict) {
@@ -143,6 +151,44 @@ TEST(StreamPredictor, ResetClearsState) {
 
 TEST(StreamPredictor, RejectsEmptyList) {
   EXPECT_THROW(StreamPredictor(params(0)), CheckFailure);
+}
+
+TEST(StreamPredictor, ClassifyFeedsLikeOnFault) {
+  StreamPredictor sp(params(4, 2));
+  EXPECT_EQ(sp.classify(kPid, 100), StreamMatch::kNone);
+  EXPECT_EQ(sp.classify(kPid, 101), StreamMatch::kFollows);
+  // 101 is now the tail; a repeat is on the list and seeds a second entry.
+  EXPECT_EQ(sp.classify(kPid, 101), StreamMatch::kOnList);
+  EXPECT_EQ(sp.hits(), 1u);
+  EXPECT_EQ(sp.misses(), 2u);
+  EXPECT_EQ(sp.stream_count(kPid), 2u);
+  EXPECT_EQ(sp.on_fault(kPid, 102), (std::vector<PageNum>{103, 104}));
+}
+
+TEST(StreamPredictor, RejectsListLongerThanAFilterCountHolds) {
+  try {
+    StreamPredictor sp(params(StreamPredictor::kMaxStreamListLen + 1));
+    ADD_FAILURE() << "an over-long stream_list was accepted";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("the most tails a filter count"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(StreamPredictor, FilterCountHoldsTheLongestList) {
+  // Every tail of a full longest list maps to one filter count: it reaches
+  // its maximum and neither wraps nor loses a tail.
+  constexpr std::size_t kLen = StreamPredictor::kMaxStreamListLen;
+  StreamPredictor sp(params(kLen));
+  for (std::size_t i = 0; i < kLen + 5; ++i) {
+    ASSERT_TRUE(sp.on_fault(kPid, 7).empty());
+  }
+  EXPECT_EQ(sp.stream_count(kPid), kLen);
+  sp.check_invariants();
+  EXPECT_EQ(match(sp, 7), StreamMatch::kOnList);
+  EXPECT_EQ(sp.on_fault(kPid, 8).size(), 4u);
+  sp.check_invariants();
 }
 
 }  // namespace

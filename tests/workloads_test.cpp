@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <map>
+#include <string>
+#include <utility>
+
 #include "sgxsim/epc.h"
 
 namespace sgxpl::trace {
@@ -160,6 +166,71 @@ TEST(Workloads, MixedBloodHasSequentialThenIrregularPhases) {
     prev = page;
   }
   EXPECT_GT(seq_first, seq_second * 5);
+}
+
+/// FNV-1a over the trace's ELRANGE and every access's page, site and gap,
+/// little-endian.
+std::uint64_t trace_hash(const Trace& t) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i, v >>= 8) {
+      h = (h ^ (v & 0xff)) * 0x100000001b3ull;
+    }
+  };
+  mix(t.elrange_pages(), 8);
+  for (const Access& a : t.accesses()) {
+    mix(a.page, 8);
+    mix(a.site, 4);
+    mix(a.gap, 8);
+  }
+  return h;
+}
+
+TEST(Workloads, TracesMatchPinnedHashes) {
+  // Train and ref inputs of every registry workload, pinned from the
+  // generators before they reserved their traces up front and shared one
+  // Zipf sampler per region. A generator change that moves any access,
+  // site, gap or ELRANGE changes a hash here.
+  const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>
+      kPinned = {
+          // name -> {train hash, ref hash}
+          {"microbenchmark", {0xde1af8410ae59cc5ull, 0xd249a21bc7bcde41ull}},
+          {"bwaves", {0xf90b2d7d9b52a817ull, 0xde3204491853b039ull}},
+          {"lbm", {0x8ec6c9973fef2fedull, 0x3f76c863aef55af0ull}},
+          {"wrf", {0xa647ba22bea68e2bull, 0x7d101ae49c51ca5dull}},
+          {"mcf", {0x05079d1da86c7584ull, 0x96f026159340ce42ull}},
+          {"mcf.2006", {0xc373e85021317155ull, 0x9a2b60e949240399ull}},
+          {"deepsjeng", {0x98371183f8eea330ull, 0x2d58781c430594e2ull}},
+          {"omnetpp", {0x37cc15649123869cull, 0x77f0f1d8bf1ddba1ull}},
+          {"xz", {0x4dab513f3b06af54ull, 0x46ec779bbcb20416ull}},
+          {"roms", {0x32097ab021774590ull, 0xd361524770148d2cull}},
+          {"cactuBSSN", {0x987fae0a0ba6a4cdull, 0x833997f354050960ull}},
+          {"imagick", {0xbcd7cf8e48e6231cull, 0xcebd2923bc518c2dull}},
+          {"leela", {0x83586934a4098b96ull, 0xab22a7f69f063d97ull}},
+          {"nab", {0x64c4dfa4c14090dfull, 0xd25c931abd970e2bull}},
+          {"exchange2", {0xbbd2a37abb14e35full, 0xbb7a9ea92b34a4adull}},
+          {"SIFT", {0x6d33830f157ad424ull, 0x7f867cb3677de3baull}},
+          {"MSER", {0xad058974e53bb0bbull, 0xe49b47fe4880c85eull}},
+          {"mixed-blood", {0x46aea41012ecb9a3ull, 0x8f53813243359bc8ull}},
+          {"ORAM", {0x22dea93f06bc1c2eull, 0x847face89d167b16ull}},
+      };
+  for (const auto& w : all_workloads()) {
+    const Trace train = w.make(train_params(0.05));
+    const Trace ref = w.make(ref_params(0.05));
+    char line[128];
+    std::snprintf(line, sizeof line, "{\"%s\", {0x%016llxull, 0x%016llxull}},",
+                  w.info.name.c_str(),
+                  static_cast<unsigned long long>(trace_hash(train)),
+                  static_cast<unsigned long long>(trace_hash(ref)));
+    const auto it = kPinned.find(w.info.name);
+    if (it == kPinned.end()) {
+      ADD_FAILURE() << "no pinned hashes: " << line;
+      continue;
+    }
+    EXPECT_EQ(trace_hash(train), it->second.first) << line;
+    EXPECT_EQ(trace_hash(ref), it->second.second) << line;
+  }
+  EXPECT_EQ(kPinned.size(), all_workloads().size());
 }
 
 TEST(TraceStats, ComputesBasicFeatures) {
